@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import enc_control, identification, security_design
-from .codec import CodecConfig
+from .codec import MAX_LEVELS, CodecConfig
 from .modgroup import generate_group_params
 from .updatable import initial_epoch, key_update, recover_next_key
 
@@ -198,6 +198,12 @@ def _parse_codec(block: dict) -> CodecBlock:
             "(value_bound/delta)^2 must stay below 2^(key_bits-2); "
             "raise key_bits or coarsen delta",
         )
+    if value_bound / delta >= MAX_LEVELS:
+        _fail(
+            "codec.delta",
+            "value_bound/delta must stay below 2^53, the float precision of "
+            "quantization; coarsen delta",
+        )
     return CodecBlock(delta=delta, value_bound=value_bound, key_bits=key_bits)
 
 
@@ -360,6 +366,12 @@ def cmd_attack_sim(cfg: RunConfig, out: Path, seed: int) -> int:
     plant = _require_block(cfg, "plant")
     attack = _require_block(cfg, "attack")
     model = _plant_model(plant)
+    floor = plant.n + plant.m + 1
+    if min(attack.n_grid) < floor:
+        _fail(
+            "attack.n_grid",
+            f"N={min(attack.n_grid)} below the identifiability floor n+m+1={floor}",
+        )
     pair = _gramian_pair(plant)
     sigma_u2 = _sigma_u2(cfg)
     trial_rows = []

@@ -15,6 +15,10 @@ import numpy as np
 
 from .modgroup import GroupParams, nearest_member
 
+# quantization levels per sign: round(x/delta) is float arithmetic, and
+# floats stop representing every integer at 2^53
+MAX_LEVELS = 2**53
+
 
 class ZeroEncodingError(ValueError):
     """round(x/delta) = 0: a multiplicative group has no encoding of zero.
@@ -30,7 +34,9 @@ class CodecConfig:
 
     The bound (value_bound/delta)^2 < p/2 guarantees that the product of
     two encoded magnitudes stays inside the symmetric range of Z_p, so
-    products never wrap.
+    products never wrap.  value_bound/delta < 2^53 keeps every integer
+    round(x/delta) can reach representable as a float, so quantization
+    never silently skips levels.
     """
 
     params: GroupParams
@@ -42,6 +48,11 @@ class CodecConfig:
             raise ValueError("delta must be positive")
         if self.value_bound <= 0:
             raise ValueError("value_bound must be positive")
+        if self.value_bound / self.delta >= MAX_LEVELS:
+            raise ValueError(
+                "value_bound/delta must stay below 2^53, the float precision "
+                "of round(x/delta); coarsen delta"
+            )
         if (self.value_bound / self.delta) ** 2 >= self.params.p / 2:
             raise ValueError(
                 "(value_bound/delta)^2 must stay below p/2; "

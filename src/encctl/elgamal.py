@@ -8,7 +8,7 @@ key decrypts to the product of the plaintexts mod p.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .modgroup import GroupParams, g_pow, is_member, powmod
@@ -39,11 +39,24 @@ class Ciphertext(NamedTuple):
     c2: int
 
 
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass ``cls`` built without its
+    ``__post_init__`` checks, for keys this package has just derived.
+
+    The public constructors keep their checks for keys that come from
+    outside.
+    """
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), values):
+        object.__setattr__(obj, field.name, value)
+    return obj
+
+
 def keygen(params: GroupParams, rng: random.Random) -> tuple[PublicKey, SecretKey]:
     """Draw s uniform over Z_q and return ((params, g^s mod p), s)."""
     s = rng.randrange(params.q)
-    h = g_pow(params, s)
-    return PublicKey(params, h), SecretKey(params, s)
+    h = g_pow(params, s)  # a subgroup member by construction
+    return _trusted(PublicKey, params, h), SecretKey(params, s)
 
 
 def encrypt(pk: PublicKey, m: int, rng: random.Random | None = None, r: int | None = None) -> Ciphertext:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elgamal import Ciphertext, PublicKey, SecretKey, decrypt, keygen, multiply
+from .elgamal import Ciphertext, PublicKey, SecretKey, _trusted, decrypt, keygen, multiply
 from .modgroup import GroupParams, g_pow, powmod
 
 
@@ -50,7 +50,7 @@ class KeyEpoch:
 def initial_epoch(params: GroupParams, rng: random.Random) -> KeyEpoch:
     """Generate the epoch-0 key pair."""
     pk, sk = keygen(params, rng)
-    return KeyEpoch(0, pk, sk)
+    return _trusted(KeyEpoch, 0, pk, sk)
 
 
 def key_update(epoch: KeyEpoch, rng: random.Random) -> tuple[KeyEpoch, UpdateToken]:
@@ -58,14 +58,18 @@ def key_update(epoch: KeyEpoch, rng: random.Random) -> tuple[KeyEpoch, UpdateTok
 
     The difference d = s' - s is reduced mod q, not mod p: exponents live
     in the order-q group, and reducing mod p would make h*g^d miss g^{s'}
-    whenever s' < s.
+    whenever s' < s.  h' = h*g^d = g^{s'} holds for any valid epoch, so
+    the new one skips the key-match and membership checks and a rotation
+    costs one fixed-base exponentiation.
     """
     params = epoch.pk.params
     s_new = rng.randrange(params.q)
     d = (s_new - epoch.sk.s) % params.q
     h_new = epoch.pk.h * g_pow(params, d) % params.p
     token = UpdateToken(epoch.pk.h, d)
-    new_epoch = KeyEpoch(epoch.t + 1, PublicKey(params, h_new), SecretKey(params, s_new))
+    new_epoch = _trusted(
+        KeyEpoch, epoch.t + 1, _trusted(PublicKey, params, h_new), SecretKey(params, s_new)
+    )
     return new_epoch, token
 
 

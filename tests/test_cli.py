@@ -164,12 +164,30 @@ def test_attack_sim_seed_override_changes_output(tmp_path):
     assert (out1 / "attack_trials.csv").read_bytes() != (out2 / "attack_trials.csv").read_bytes()
 
 
-def test_attack_sim_numerical_failure_exits_3(tmp_path, capsys):
-    bad = SIM_CONFIG.replace("[10, 20]", "[3]")  # below identifiability floor
+def test_attack_sim_below_identifiability_floor_exits_2(tmp_path, capsys):
+    bad = SIM_CONFIG.replace("[10, 20]", "[10, 3]")  # below identifiability floor
     path = write(tmp_path, bad)
     code = main(["attack-sim", "--config", str(path), "--out", str(tmp_path)])
-    assert code == 3
-    assert "identifiability" in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "identifiability" in err and "attack.n_grid" in err
+    assert not (tmp_path / "attack_trials.csv").exists()
+
+
+def test_attack_sim_reference_design_floor_is_config_error(tmp_path, capsys):
+    code = main(["attack-sim", "--preset", "reference_design", "--out", str(tmp_path)])
+    assert code == 2
+    assert "attack.n_grid: N=2 below the identifiability floor n+m+1=9" in capsys.readouterr().err
+
+
+def test_codec_precision_is_config_error(tmp_path, capsys):
+    bad = LOOP_CONFIG.replace("delta: 1.0e-2", "delta: 1.0e-10").replace(
+        "value_bound: 10.0", "value_bound: 1.0e+7"
+    ).replace("key_bits: 32", "key_bits: 712")
+    path = write(tmp_path, bad)
+    code = main(["loop-demo", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "codec.delta" in capsys.readouterr().err
 
 
 def test_codec_wrap_safety_is_config_error(tmp_path, capsys):

@@ -27,6 +27,15 @@ def test_config_validation(toy_group):
         CodecConfig(toy_group, delta=0.01, value_bound=1.0)  # products would wrap
 
 
+def test_config_rejects_levels_beyond_float_precision(group712):
+    # the wrap bound alone would allow value_bound/delta up to about 2^355
+    CodecConfig(group712, delta=1.0, value_bound=2.0**53 - 1)
+    with pytest.raises(ValueError, match="2\\^53"):
+        CodecConfig(group712, delta=1.0, value_bound=2.0**53)
+    with pytest.raises(ValueError, match="2\\^53"):
+        CodecConfig(group712, delta=1e-10, value_bound=1e7)
+
+
 def test_quantize_wrap_project_pipeline(toy_group):
     # encode is round -> wrap mod p -> nearest member; spot-check the
     # mapping on the toy group, where members are enumerable by hand

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from encctl.codec import CodecConfig, decode, encode
+from encctl import enc_control
+from encctl.codec import CodecConfig, decode, encode, sum_rows
 from encctl.enc_control import (
     ControllerParams,
     PlantModel,
@@ -16,7 +17,9 @@ from encctl.enc_control import (
     run_encrypted_loop,
     run_plain_loop,
 )
-from encctl.updatable import initial_epoch, key_update, cross_decrypt
+from encctl.modgroup import g_pow
+from encctl.updatable import ExtendedCiphertext, cross_decrypt, initial_epoch, key_update
+from conftest import count_calls
 
 ROOT_HALF = float(np.sqrt(0.5))
 
@@ -224,3 +227,90 @@ def test_trace_csv_schema(tmp_path, cfg64):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[-1]) == trace.errors[0]
+
+
+def reference_output(sk0, sk_t, ect_matrix, cfg, **_):
+    """Row sums of entry-by-entry two-key decryptions, no mask sharing."""
+    return sum_rows(
+        [[decode(cross_decrypt(sk0, sk_t, ect), cfg, power=2) for ect in row] for row in ect_matrix]
+    )
+
+
+def test_decrypt_output_matches_per_entry_reference(cfg64):
+    key_rng = random.Random(21)
+    rng = np.random.default_rng(21)
+    epoch0 = initial_epoch(cfg64.params, key_rng)
+    ct_phi = encrypt_matrix(epoch0.pk, rng.uniform(-2, 2, (4, 4)), cfg64, key_rng)
+    masks0 = {}
+    epoch = epoch0
+    for _ in range(3):
+        epoch, _ = key_update(epoch, key_rng)
+        ct_xi = encrypt_vector(epoch.pk, rng.uniform(-5, 5, 4), cfg64, key_rng)
+        ects = encrypted_controller(epoch0.pk, ct_phi, ct_xi)
+        expected = reference_output(epoch0.sk, epoch.sk, ects, cfg64)
+        assert np.array_equal(decrypt_controller_output(epoch0.sk, epoch.sk, ects, cfg64), expected)
+        got = decrypt_controller_output(epoch0.sk, epoch.sk, ects, cfg64, masks0=masks0)
+        assert np.array_equal(got, expected)
+    assert len(masks0) == 16  # one per gain entry, reused across steps
+    # a cache filled under one secret never answers for another
+    other = initial_epoch(cfg64.params, key_rng)
+    got = decrypt_controller_output(other.sk, epoch.sk, ects, cfg64, masks0=masks0)
+    assert np.array_equal(got, reference_output(other.sk, epoch.sk, ects, cfg64))
+
+
+def test_decrypt_output_hand_built_reply(cfg64):
+    # a reply that does not share columns: the state component c2 differs
+    # on every row, while one gain component c1 repeats everywhere
+    params = cfg64.params
+    rng = random.Random(22)
+    sk0 = initial_epoch(params, rng).sk
+    sk_t = initial_epoch(params, rng).sk
+    c1 = g_pow(params, rng.randrange(1, params.q))
+    ects = [
+        [
+            ExtendedCiphertext(c1, g_pow(params, rng.randrange(1, params.q)), rng.randrange(1, params.p))
+            for _ in range(3)
+        ]
+        for _ in range(2)
+    ]
+    expected = reference_output(sk0, sk_t, ects, cfg64)
+    masks0 = {}
+    for _ in range(2):
+        got = decrypt_controller_output(sk0, sk_t, ects, cfg64, masks0=masks0)
+        assert np.array_equal(got, expected)
+    assert np.array_equal(decrypt_controller_output(sk0, sk_t, ects, cfg64), expected)
+    assert len(masks0) == 1  # the repeated gain component
+
+
+def test_encrypted_loop_matches_per_entry_decryption(monkeypatch, cfg64):
+    model = sec6_plant(sigma_w2=0.01)
+    controller = ControllerParams(np.array([[-0.3, 0.1, 0, 0.2]] * 4) - 0.1 * np.eye(4))
+
+    def run():
+        key_rng = random.Random(31)
+        trace = run_encrypted_loop(
+            model, controller, cfg64, T=8,
+            noise_rng=np.random.default_rng(31), key_rng=key_rng,
+        )
+        return trace, key_rng.getstate()
+
+    shared, shared_state = run()
+    monkeypatch.setattr(enc_control, "decrypt_controller_output", reference_output)
+    ref, ref_state = run()
+    for field in ("times", "states", "inputs", "ref_inputs", "errors"):
+        assert np.array_equal(getattr(shared, field), getattr(ref, field)), field
+    assert shared_state == ref_state
+
+
+def test_encrypted_loop_modexp_count(monkeypatch, cfg64):
+    # encryption: alpha*beta for the gain, beta per step for the state;
+    # decryption: alpha*beta epoch-0 masks per run, beta masks per step
+    model = sec6_plant(sigma_w2=0.01)
+    controller = ControllerParams(-0.3 * np.eye(4))
+    alpha, beta, T = 4, 4, 5
+    calls = count_calls(monkeypatch, "powmod")
+    run_encrypted_loop(
+        model, controller, cfg64, T=T,
+        noise_rng=np.random.default_rng(41), key_rng=random.Random(41),
+    )
+    assert len(calls) <= 2 * alpha * beta + 2 * beta * T

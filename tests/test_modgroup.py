@@ -16,6 +16,7 @@ from encctl.modgroup import (
     nearest_member,
     parse_keyfile,
 )
+from conftest import count_calls
 
 TOY_MEMBERS = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
 
@@ -161,18 +162,6 @@ def test_g_pow_on_equal_groups_shares_answers(group64):
         assert g_pow(copy, e) == g_pow(group64, e) == pow(group64.g, e, group64.p)
 
 
-def _count_powmod(monkeypatch):
-    calls = []
-    real = modgroup.powmod
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(modgroup, "powmod", counted)
-    return calls
-
-
 def test_legendre_membership_agrees_on_every_toy_residue():
     toy = generate_group_params(5, random.Random(0))
     for a in range(1, toy.p):
@@ -190,7 +179,7 @@ def test_legendre_membership_agrees_on_random_residues(group64):
 
 
 def test_generated_group_membership_skips_pow(monkeypatch, group64):
-    calls = _count_powmod(monkeypatch)
+    calls = count_calls(monkeypatch, "powmod")
     is_member(group64, 4)
     is_member(group64, group64.p - 1)
     assert calls == []
@@ -200,7 +189,7 @@ def test_keyfile_group_membership_uses_pow(monkeypatch, group64):
     parsed = parse_keyfile(format_keyfile(group64))
     assert parsed == group64 and hash(parsed) == hash(group64)
     assert repr(parsed) == repr(group64)
-    calls = _count_powmod(monkeypatch)
+    calls = count_calls(monkeypatch, "powmod")
     assert is_member(parsed, 4)
     assert not is_member(parsed, group64.p - 1)  # -1 is a non-residue for p = 3 mod 4
     assert len(calls) == 2
@@ -211,7 +200,7 @@ def test_other_cofactor_membership_uses_pow(monkeypatch):
     # so the Legendre symbol would be wrong here even with p prime
     params = GroupParams(p=31, q=5, g=2, cofactor=6)
     object.__setattr__(params, modgroup._PRIME_MARK, True)
-    calls = _count_powmod(monkeypatch)
+    calls = count_calls(monkeypatch, "powmod")
     members = [a for a in range(1, 31) if is_member(params, a)]
     assert members == [1, 2, 4, 8, 16]
     assert len(calls) == 30

@@ -18,7 +18,7 @@ from encctl.updatable import (
     parse_extended,
     recover_next_key,
 )
-from conftest import ScriptedRng
+from conftest import ScriptedRng, count_calls
 
 
 @pytest.fixture
@@ -29,6 +29,21 @@ def toy_epoch(toy_group):
 def test_epoch_rejects_mismatched_keys(toy_group):
     with pytest.raises(ValueError):
         KeyEpoch(0, PublicKey(toy_group, 8), SecretKey(toy_group, 4))
+
+
+def test_derived_epochs_are_not_rechecked(monkeypatch, group64):
+    # h' = h*g^d is the new key by construction: a rotation costs one g^d
+    # and neither the key-match nor the membership check runs again
+    epoch = initial_epoch(group64, random.Random(1))
+    g_calls = count_calls(monkeypatch, "g_pow")
+    member_calls = count_calls(monkeypatch, "is_member")
+    nxt, _token = key_update(epoch, random.Random(2))
+    assert len(g_calls) == 1 and member_calls == []
+    assert nxt.pk.h == pow(group64.g, nxt.sk.s, group64.p)
+    g_calls.clear()
+    fresh = initial_epoch(group64, random.Random(3))
+    assert len(g_calls) == 1 and member_calls == []  # keygen's g^s only
+    assert fresh.pk.h == pow(group64.g, fresh.sk.s, group64.p)
 
 
 def test_key_update_examples(toy_epoch):
