@@ -12,6 +12,7 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -47,21 +48,25 @@ def _get(block: dict, path: str, key: str, required: bool = True, default=None):
     return block[key]
 
 
-def _positive(value, path: str) -> float:
+def _finite(value, path: str) -> float:
     try:
         value = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         _fail(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        _fail(path, f"must be finite, got {value!r}")
+    return value
+
+
+def _positive(value, path: str) -> float:
+    value = _finite(value, path)
     if value <= 0:
         _fail(path, "must be positive")
     return value
 
 
 def _nonneg(value, path: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        _fail(path, f"expected a number, got {value!r}")
+    value = _finite(value, path)
     if value < 0:
         _fail(path, "must be nonnegative")
     return value
@@ -76,13 +81,15 @@ def _positive_int(value, path: str) -> int:
 def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     """Scalars become value * I (rectangular identity); lists are checked."""
     if isinstance(value, (int, float)):
-        return float(value) * np.eye(rows, cols)
+        return _finite(value, path) * np.eye(rows, cols)
     try:
         M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         _fail(path, f"expected a scalar or nested list, got {value!r}")
     if M.shape != (rows, cols):
         _fail(path, f"expected shape ({rows}, {cols}), got {M.shape}")
+    if not np.isfinite(M).all():
+        _fail(path, "entries must be finite")
     return M
 
 
@@ -222,7 +229,10 @@ def parse_config(doc: dict) -> RunConfig:
     known = {"plant", "attack", "requirement", "codec", "loop"}
     unknown = set(doc) - known
     if unknown:
-        raise ConfigError(f"config: unknown sections {sorted(unknown)}")
+        raise ConfigError(f"config: unknown sections {sorted(map(str, unknown))}")
+    for name, block in doc.items():
+        if not isinstance(block, dict):
+            _fail(name, f"expected a mapping of fields, got {block!r}")
     plant = _parse_plant(doc["plant"]) if "plant" in doc else None
     return RunConfig(
         plant=plant,
@@ -286,7 +296,10 @@ def _r_sigma(cfg: RunConfig) -> float:
     plant = _require_block(cfg, "plant")
     if plant.sigma_w2 <= 0:
         _fail("plant.sigma_w2", "must be positive to derive r_sigma from sigma_u2")
-    return attack.sigma_u2 / plant.sigma_w2
+    r_sigma = attack.sigma_u2 / plant.sigma_w2
+    if not 0 < r_sigma < math.inf:
+        _fail("attack.sigma_u2", "sigma_u2/sigma_w2 must be a positive finite float")
+    return r_sigma
 
 
 def _sigma_u2(cfg: RunConfig) -> float:
@@ -294,7 +307,10 @@ def _sigma_u2(cfg: RunConfig) -> float:
     if attack.sigma_u2 is not None:
         return attack.sigma_u2
     plant = _require_block(cfg, "plant")
-    return attack.r_sigma * plant.sigma_w2
+    sigma_u2 = attack.r_sigma * plant.sigma_w2
+    if not math.isfinite(sigma_u2):
+        _fail("attack.r_sigma", "r_sigma*sigma_w2 overflows a float")
+    return sigma_u2
 
 
 def _plant_model(plant: PlantBlock) -> enc_control.PlantModel:
@@ -507,6 +523,7 @@ def main(argv: list[str] | None = None) -> int:
         identification.RankDeficiencyError,
         np.linalg.LinAlgError,
         ValueError,
+        ZeroDivisionError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

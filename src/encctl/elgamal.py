@@ -78,14 +78,20 @@ def encrypt(pk: PublicKey, m: int, rng: random.Random | None = None, r: int | No
     return Ciphertext(g_pow(pk.params, r), m * powmod(pk.h, r, p) % p)
 
 
-def decrypt(sk: SecretKey, ct: Ciphertext) -> int:
-    """Recover m = c1^{-s} * c2 mod p.
+def mask(sk: SecretKey, c1: int) -> int:
+    """The factor c1^{-s} mod p that strips the key from a ciphertext
+    whose first component is c1.
 
     The inverse is computed as c1^{q-s}; every subgroup element has order
     dividing q, so no extended-gcd path is needed.
     """
     p, q = sk.params.p, sk.params.q
-    return powmod(ct.c1, (q - sk.s) % q, p) * ct.c2 % p
+    return powmod(c1, (q - sk.s) % q, p)
+
+
+def decrypt(sk: SecretKey, ct: Ciphertext) -> int:
+    """Recover m = c1^{-s} * c2 mod p."""
+    return mask(sk, ct.c1) * ct.c2 % sk.params.p
 
 
 def multiply(pk: PublicKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:

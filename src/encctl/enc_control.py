@@ -6,12 +6,12 @@ evaluation.  Keys rotate every step on the plant side, and the rotation
 token never appears in the controller interface: ``encrypted_controller``
 takes only a public key and ciphertexts.
 
-Cost: every row of the server's reply repeats the first components of
-the state ciphertexts, and those of the epoch-0 gain never change, so
-``run_encrypted_loop`` decrypts with beta mask modexps per step plus
-alpha*beta once per run, instead of 2*alpha*beta per step.  With
-encryption that is 2*beta + 2*alpha*beta/T modexps per step; at the
-designed 712 bits on the builtin ``pow`` a 4x4 step takes about 24 ms.
+Cost: the server replies with alpha x beta integers, the products of
+second components; the plant holds every first component it sent and
+strips the masks by position, alpha*beta gain masks once per run and beta
+state masks per step.  With encryption a step costs 2*beta +
+2*alpha*beta/T modexps and moves 2*beta + alpha*beta group elements; at
+the designed 712 bits on the builtin ``pow`` a 4x4 step takes about 24 ms.
 
 A plaintext twin (``run_plain_loop``) consumes the identical noise stream
 so encrypted-versus-plain deviations isolate quantization effects.
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CodecConfig, decode, encode, sum_rows
-from .elgamal import Ciphertext, PublicKey, SecretKey, encrypt
-from .modgroup import powmod
-from .updatable import ExtendedCiphertext, cross_eval, initial_epoch, key_update
+from .elgamal import Ciphertext, PublicKey, encrypt, mask
+from .updatable import initial_epoch, key_update
 
 
 @dataclass(frozen=True)
@@ -145,88 +144,59 @@ def plant_step(
     return model.A @ x + model.B @ u + w
 
 
-def _quantize_nonzero(x: float, cfg: CodecConfig) -> float:
-    # exact zeros are unencodable in a multiplicative group: offset by one step
-    if round(x / cfg.delta) == 0:
-        return cfg.delta
-    return x
+def encode_vector(v: np.ndarray, cfg: CodecConfig) -> list[int]:
+    """Encode each entry of v, offsetting those that quantize to zero by one
+    step: a multiplicative group has no encoding of zero."""
+    # |x/delta| <= 0.5 is round(x/delta) == 0, but leaves inf to encode's bound check
+    return [encode(cfg.delta if abs(x / cfg.delta) <= 0.5 else x, cfg) for x in map(float, v)]
 
 
-def encrypt_value(pk: PublicKey, x: float, cfg: CodecConfig, rng: random.Random) -> Ciphertext:
-    """Encode one real (zero-offset applied) and encrypt it."""
-    return encrypt(pk, encode(_quantize_nonzero(x, cfg), cfg), rng)
-
-
-def encrypt_vector(
-    pk: PublicKey, v: np.ndarray, cfg: CodecConfig, rng: random.Random
-) -> list[Ciphertext]:
-    return [encrypt_value(pk, float(x), cfg, rng) for x in v]
+def encrypt_vector(pk: PublicKey, plaintexts: list[int], rng: random.Random) -> list[Ciphertext]:
+    """Encrypt already-encoded plaintexts, each with fresh randomness."""
+    return [encrypt(pk, m, rng) for m in plaintexts]
 
 
 def encrypt_matrix(
     pk: PublicKey, M: np.ndarray, cfg: CodecConfig, rng: random.Random
 ) -> list[list[Ciphertext]]:
-    return [encrypt_vector(pk, row, cfg, rng) for row in np.atleast_2d(M)]
+    """Encode and encrypt a matrix row by row."""
+    return [encrypt_vector(pk, encode_vector(row, cfg), rng) for row in np.atleast_2d(M)]
 
 
 def encrypted_controller(
-    pk0: PublicKey,
-    ct_phi0: list[list[Ciphertext]],
-    ct_xi: list[Ciphertext],
-) -> list[list[ExtendedCiphertext]]:
+    pk0: PublicKey, ct_phi0: list[list[Ciphertext]], ct_xi: list[Ciphertext]
+) -> list[list[int]]:
     """Entry-wise encrypted products Phi_ij * xi_j across key epochs.
 
     ct_phi0 is the gain encrypted at epoch 0; ct_xi the input vector under
-    the current epoch.  The signature deliberately admits no update token:
-    this is the complete server-side interface.
+    the current epoch.  Entry (i, j) of the reply is
+    ``cross_eval(pk0, ct_phi0[i][j], ct_xi[j]).c3``: the plant keeps the
+    first components it sent.  The signature deliberately admits no update
+    token: this is the complete server-side interface.
     """
     beta = len(ct_xi)
     if any(len(row) != beta for row in ct_phi0):
         raise ValueError("gain matrix columns must match input vector length")
-    return [[cross_eval(pk0, ct_phi, ct_xi[j]) for j, ct_phi in enumerate(row)] for row in ct_phi0]
-
-
-def _mask(sk: SecretKey, c: int, cache: dict) -> int:
-    """c^{-s} = c^{q-s} mod p, computed once per (secret, component)."""
-    key = (sk, c)
-    mask = cache.get(key)
-    if mask is None:
-        q = sk.params.q
-        mask = cache[key] = powmod(c, (q - sk.s) % q, sk.params.p)
-    return mask
+    p = pk0.params.p
+    return [[ct_phi.c2 * ct.c2 % p for ct_phi, ct in zip(row, ct_xi)] for row in ct_phi0]
 
 
 def decrypt_controller_output(
-    sk0: SecretKey,
-    sk_t: SecretKey,
-    ect_matrix: list[list[ExtendedCiphertext]],
-    cfg: CodecConfig,
-    *,
-    masks0: dict | None = None,
+    masks0: list[list[int]], masks_t: list[int], reply: list[list[int]], cfg: CodecConfig
 ) -> np.ndarray:
-    """Two-key decrypt each product, decode at delta^2, and sum rows.
+    """Strip both epochs' masks from the reply by position, decode at
+    delta^2, and sum rows.
 
-    Each plaintext equals ``cross_decrypt(sk0, sk_t, ect)``.  The masks
-    c^{-s} are looked up by the component's value, so every distinct
-    state component costs one modexp per call however many rows carry
-    it.  ``masks0`` caches the sk0 masks across calls; it gains one
-    entry per distinct first component it is shown, and its entries are
-    keyed by the secret key, so it never serves a mask for another key.
+    masks0[i][j] is ``mask(sk0, ct_phi0[i][j].c1)`` and masks_t[j] is
+    ``mask(sk_t, ct_xi[j].c1)``.  A reply of another shape is rejected.
     """
-    if masks0 is None:
-        masks0 = {}
-    masks_t: dict = {}
-    p = sk0.params.p
+    p = cfg.params.p
     plain = [
         [
-            decode(
-                _mask(sk0, ect.c1, masks0) * _mask(sk_t, ect.c2, masks_t) % p * ect.c3 % p,
-                cfg,
-                power=2,
-            )
-            for ect in row
+            decode(m0 * m_t % p * c % p, cfg, power=2)
+            for m0, m_t, c in zip(row0, masks_t, row, strict=True)
         ]
-        for row in ect_matrix
+        for row0, row in zip(masks0, reply, strict=True)
     ]
     return sum_rows(plain)
 
@@ -251,11 +221,11 @@ def run_encrypted_loop(
 ) -> LoopTrace:
     """Drive the plant through the encrypted controller for T steps.
 
-    Each step encrypts the state under the current epoch, evaluates the
-    encrypted controller against the epoch-0 gain ciphertexts, recovers
-    the input with the two-key decryption, steps the plant, and rotates
-    the keys.  The gain is encrypted exactly once and its epoch-0
-    decryption masks are computed once; no ciphertext is ever re-keyed
+    Each step encodes the state once, encrypts it under the current
+    epoch, evaluates the encrypted controller against the epoch-0 gain
+    ciphertexts, strips both epochs' masks from the reply, steps the
+    plant, and rotates the keys.  The gain is encrypted exactly once and
+    its epoch-0 masks are computed once; no ciphertext is ever re-keyed
     and no token leaves this function.
     """
     if T < 1:
@@ -264,7 +234,7 @@ def run_encrypted_loop(
         raise ValueError("controller shape must be (m, n) for this plant")
     epoch0 = initial_epoch(cfg.params, key_rng)
     ct_phi0 = encrypt_matrix(epoch0.pk, controller.Phi, cfg, key_rng)
-    masks0: dict = {}  # the gain's epoch-0 masks, for the life of epoch0
+    masks0 = [[mask(epoch0.sk, ct.c1) for ct in row] for row in ct_phi0]
     epoch = epoch0
 
     x = _draw_initial_state(model, noise_rng, x0)
@@ -274,14 +244,14 @@ def run_encrypted_loop(
     errors = np.empty(T)
     for t in range(T):
         try:
-            x_quant = np.array(
-                [decode(encode(_quantize_nonzero(float(v), cfg), cfg), cfg) for v in x]
-            )
-            ct_xi = encrypt_vector(epoch.pk, x, cfg, key_rng)
+            xi = encode_vector(x, cfg)
         except ValueError as exc:
             raise ValueError(f"encoding failed at step {t}: {exc}") from exc
-        ect = encrypted_controller(epoch0.pk, ct_phi0, ct_xi)
-        u = decrypt_controller_output(epoch0.sk, epoch.sk, ect, cfg, masks0=masks0)
+        x_quant = np.array([decode(m, cfg) for m in xi])
+        ct_xi = encrypt_vector(epoch.pk, xi, key_rng)
+        reply = encrypted_controller(epoch0.pk, ct_phi0, ct_xi)
+        masks_t = [mask(epoch.sk, ct.c1) for ct in ct_xi]
+        u = decrypt_controller_output(masks0, masks_t, reply, cfg)
         u_ref = controller.Phi @ x_quant
         states[t] = x
         inputs[t] = u

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from encctl.cli import (
     ConfigError,
@@ -44,6 +47,14 @@ loop:
 """
 
 
+DESIGN_CONFIG = SIM_CONFIG + """\
+requirement:
+  gamma_c: 1.0e-6
+  tau_c: 3.1536e+8
+  upsilon: 4.42e+17
+"""
+
+
 def write(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -75,6 +86,8 @@ def test_parse_config_field_paths():
         parse_config({"attack": {"sigma_u2": 1.0, "n_grid": []}})
     with pytest.raises(ConfigError, match="unknown sections"):
         parse_config({"plan": {}})
+    with pytest.raises(ConfigError, match=r"unknown sections \['0', 'plan'\]"):
+        parse_config({"plan": {}, 0: {}})
     with pytest.raises(ConfigError, match="plant.A"):
         parse_config(
             {"plant": {"n": 2, "m": 2, "sigma_w2": 0.1, "sigma_x2": 1.0, "A": 1.5, "B": 1.0}}
@@ -210,3 +223,134 @@ def test_loop_demo_smoke(tmp_path, capsys):
     trace_lines = (tmp_path / "loop_trace.csv").read_text().splitlines()
     assert trace_lines[0].startswith("t,x_1")
     assert len(trace_lines) == 2  # header + one step
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        pytest.param("design", ("plant",), 5, id="plant-not-a-mapping"),
+        pytest.param("design", ("requirement", "gamma_c"), math.inf, id="gamma_c-inf"),
+        pytest.param("loop-demo", ("loop", "phi"), math.inf, id="phi-inf"),
+        pytest.param("design", ("requirement", "gamma_c"), math.nan, id="gamma_c-nan"),
+        pytest.param("design", ("plant", "A"), math.nan, id="A-nan"),
+        pytest.param("design", ("plant", "A"), [[0.5, math.nan], [0.0, 0.5]], id="A-entry-nan"),
+        pytest.param("design", ("plant", "sigma_w2"), math.nan, id="sigma_w2-nan"),
+    ],
+)
+def test_bad_field_is_config_error(tmp_path, capsys, command, path, value):
+    base = LOOP_CONFIG if command == "loop-demo" else DESIGN_CONFIG
+    doc = yaml.safe_load(base)
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    cfg = write(tmp_path, yaml.safe_dump(doc))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {'.'.join(path)}: " in captured.err
+    assert captured.out == ""
+
+
+def test_zero_variances_are_numerical_failure(tmp_path, capsys):
+    doc = yaml.safe_load(SIM_CONFIG)
+    doc["plant"].update(sigma_w2=0.0, sigma_x2=0.0)
+    doc["attack"] = {"r_sigma": 1.0, "n_grid": [2]}
+    path = write(tmp_path, yaml.safe_dump(doc))
+    assert main(["complexity-curve", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, sigma_w2, attack, field",
+    [
+        ("design", 1e-300, {"sigma_u2": 1e300}, "attack.sigma_u2"),
+        ("complexity-curve", 1e300, {"r_sigma": 1e300}, "attack.r_sigma"),
+    ],
+)
+def test_variance_overflow_is_config_error(tmp_path, capsys, command, sigma_w2, attack, field):
+    doc = yaml.safe_load(DESIGN_CONFIG)
+    doc["plant"]["sigma_w2"] = sigma_w2
+    doc["attack"] = dict(attack, n_grid=[10, 20])
+    path = write(tmp_path, yaml.safe_dump(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
+# -- config fuzzer: every document ends in exit 0, 2 or 3 -------------------
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(),  # any float, nan and +-inf included
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.none(), st.floats(), st.integers(-2, 3)), max_size=3),
+)
+SECTIONS = ("plant", "attack", "requirement", "codec", "loop")
+NEEDS = {
+    "design": ("plant", "attack", "requirement"),
+    "complexity-curve": ("plant", "attack"),
+    "attack-sim": ("plant", "attack"),
+    "loop-demo": ("plant", "codec", "loop"),
+}
+
+
+@st.composite
+def documents(draw, command):
+    """A well-formed config for ``command`` with up to three fields or
+    sections replaced by junk, deleted, or added."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def num(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    def mat(rows, cols, lo, hi):
+        row = st.lists(st.floats(lo, hi), min_size=cols, max_size=cols)
+        return draw(st.one_of(st.floats(lo, hi), st.lists(row, min_size=rows, max_size=rows)))
+
+    plant = {"n": n, "m": m, "sigma_w2": num(0, 2), "sigma_x2": num(0, 2)}
+    plant.update(A=mat(n, n, -0.45, 0.45), B=mat(n, m, -2, 2))
+    if draw(st.booleans()):
+        plant.update(psi_u=mat(n, n, 0, 4), psi_w=mat(n, n, 0, 4))
+    doc = {
+        "plant": plant,
+        "attack": {
+            draw(st.sampled_from(["sigma_u2", "r_sigma"])): num(1e-3, 100),
+            "n_grid": draw(st.lists(st.integers(2, 200), min_size=1, max_size=3)),
+            "trials": draw(st.integers(1, 3)),
+            "seed": draw(st.integers(0, 2**32)),
+        },
+        "requirement": {"gamma_c": num(1e-9, 1), "tau_c": num(1, 1e9), "upsilon": num(1, 1e18)},
+        "codec": {"delta": num(1e-4, 1), "value_bound": num(1, 100), "key_bits": draw(st.integers(16, 64))},
+        "loop": {"T": draw(st.integers(1, 5)), "phi": mat(m, n, -1, 1)},
+    }
+    doc = {name: doc[name] for name in SECTIONS if name in NEEDS[command] or draw(st.booleans())}
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(SECTIONS + ("extra", 0)))
+        block = doc.get(name)
+        action = draw(st.sampled_from(["junk", "delete", "section"]))
+        if action == "section" or not isinstance(block, dict):
+            doc[name] = draw(JUNK)
+        elif action == "delete" and block:
+            del block[draw(st.sampled_from(sorted(block)))]
+        else:
+            block[draw(st.sampled_from(sorted(block) + ["extra"]))] = draw(JUNK)
+    return draw(st.one_of(st.just(doc), JUNK)) if draw(st.integers(0, 20)) == 0 else doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", sorted(NEEDS))
+def test_config_fuzz_exits_cleanly(fuzz_dir, command):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(doc=documents(command))
+    def run(doc):
+        path = fuzz_dir / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main([command, "--config", str(path), "--out", str(fuzz_dir)]) in (0, 2, 3)
+
+    run()

@@ -10,6 +10,7 @@ from encctl.elgamal import (
     encrypt,
     format_ciphertext,
     keygen,
+    mask,
     multiply,
     parse_ciphertext,
 )
@@ -82,6 +83,15 @@ def test_decrypt_examples(toy_group, toy_keys):
     for m in [1, 2, 4, 8]:
         assert decrypt(sk, Ciphertext(1, m)) == m  # r = 0 case
     assert decrypt(sk, Ciphertext(13, 4)) == 8
+
+
+def test_mask_inverts_the_key_power(toy_group, toy_keys):
+    _, sk = toy_keys
+    members = [pow(toy_group.g, e, toy_group.p) for e in range(toy_group.q)]
+    for c in members:
+        assert mask(sk, c) * pow(c, sk.s, toy_group.p) % toy_group.p == 1
+        assert mask(SecretKey(toy_group, 0), c) == 1
+    assert mask(sk, 4) * 3 % toy_group.p == decrypt(sk, Ciphertext(4, 3))
 
 
 def test_multiply_examples(toy_keys):

@@ -3,12 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from encctl import enc_control
 from encctl.codec import CodecConfig, decode, encode, sum_rows
+from encctl.elgamal import encrypt, mask
 from encctl.enc_control import (
     ControllerParams,
     PlantModel,
+    encode_vector,
     encrypt_matrix,
     encrypt_vector,
     encrypted_controller,
@@ -17,8 +20,13 @@ from encctl.enc_control import (
     run_encrypted_loop,
     run_plain_loop,
 )
-from encctl.modgroup import g_pow
-from encctl.updatable import ExtendedCiphertext, cross_decrypt, initial_epoch, key_update
+from encctl.updatable import (
+    ExtendedCiphertext,
+    cross_decrypt,
+    cross_eval,
+    initial_epoch,
+    key_update,
+)
 from conftest import count_calls
 
 ROOT_HALF = float(np.sqrt(0.5))
@@ -77,10 +85,13 @@ def test_encrypted_controller_scalar(cfg64):
     epoch = initial_epoch(cfg64.params, rng)
     phi, xi = 0.25, -0.5
     ct_phi = encrypt_matrix(epoch.pk, np.array([[phi]]), cfg64, rng)
-    ct_xi = encrypt_vector(epoch.pk, np.array([xi]), cfg64, rng)
-    ects = encrypted_controller(epoch.pk, ct_phi, ct_xi)
-    assert len(ects) == 1 and len(ects[0]) == 1
-    got = decode(cross_decrypt(epoch.sk, epoch.sk, ects[0][0]), cfg64, power=2)
+    ct_xi = encrypt_vector(epoch.pk, encode_vector(np.array([xi]), cfg64), rng)
+    reply = encrypted_controller(epoch.pk, ct_phi, ct_xi)
+    assert len(reply) == 1 and len(reply[0]) == 1
+    # the reply is the third component of the full cross-epoch product
+    ect = cross_eval(epoch.pk, ct_phi[0][0], ct_xi[0])
+    assert reply[0][0] == ect.c3
+    got = decode(cross_decrypt(epoch.sk, epoch.sk, ect), cfg64, power=2)
     assert got == pytest.approx(phi * xi, abs=5e-3)
 
 
@@ -89,8 +100,11 @@ def test_encrypted_controller_identity_gain(cfg64):
     epoch = initial_epoch(cfg64.params, rng)
     xi = np.array([1.25, -2.5, 0.75])
     ct_phi = encrypt_matrix(epoch.pk, np.eye(3), cfg64, rng)
-    ct_xi = encrypt_vector(epoch.pk, xi, cfg64, rng)
-    out = decrypt_controller_output(epoch.sk, epoch.sk, encrypted_controller(epoch.pk, ct_phi, ct_xi), cfg64)
+    ct_xi = encrypt_vector(epoch.pk, encode_vector(xi, cfg64), rng)
+    reply = encrypted_controller(epoch.pk, ct_phi, ct_xi)
+    out = decrypt_controller_output(
+        masks_of(epoch.sk, ct_phi), masks_of(epoch.sk, [ct_xi])[0], reply, cfg64
+    )
     # off-diagonal zeros of the identity are offset to one quantization step,
     # so the tolerance budgets one step per summed entry
     assert np.abs(out - xi).max() <= 3 * len(xi) * 10 * cfg64.delta
@@ -100,11 +114,16 @@ def test_encrypted_controller_shape(cfg64):
     rng = random.Random(7)
     epoch = initial_epoch(cfg64.params, rng)
     ct_phi = encrypt_matrix(epoch.pk, 0.5 * np.ones((2, 2)), cfg64, rng)
-    ct_xi = encrypt_vector(epoch.pk, np.ones(2), cfg64, rng)
-    ects = encrypted_controller(epoch.pk, ct_phi, ct_xi)
-    assert len(ects) == 2 and all(len(row) == 2 for row in ects)
+    ct_xi = encrypt_vector(epoch.pk, encode_vector(np.ones(2), cfg64), rng)
+    reply = encrypted_controller(epoch.pk, ct_phi, ct_xi)
+    assert len(reply) == 2 and all(len(row) == 2 for row in reply)
     with pytest.raises(ValueError):
         encrypted_controller(epoch.pk, ct_phi, ct_xi[:1])
+    # a reply of the wrong shape is rejected, not truncated
+    masks0, masks_t = masks_of(epoch.sk, ct_phi), masks_of(epoch.sk, [ct_xi])[0]
+    for bad in ([row[:1] for row in reply], reply[:1], reply + [reply[0]]):
+        with pytest.raises(ValueError):
+            decrypt_controller_output(masks0, masks_t, bad, cfg64)
 
 
 def test_controller_interface_admits_no_token():
@@ -127,15 +146,17 @@ def test_cross_epoch_products_exact(cfg64):
     for _ in range(5):
         epoch, _ = key_update(epoch, key_rng)
     xi = np.array([3.0, -1.0])
-    ct_xi = encrypt_vector(epoch.pk, xi, cfg64, key_rng)
-    ects = encrypted_controller(epoch0.pk, ct_phi, ct_xi)
+    ct_xi = encrypt_vector(epoch.pk, encode_vector(xi, cfg64), key_rng)
+    reply = encrypted_controller(epoch0.pk, ct_phi, ct_xi)
     p = cfg64.params.p
     for i in range(2):
         for j in range(2):
             m_phi = encode(phi[i, j], cfg64)
             m_xi = encode(xi[j], cfg64)
-            got = cross_decrypt(epoch0.sk, epoch.sk, ects[i][j])
-            assert got == m_phi * m_xi % p
+            ect = ExtendedCiphertext(ct_phi[i][j].c1, ct_xi[j].c1, reply[i][j])
+            assert cross_decrypt(epoch0.sk, epoch.sk, ect) == m_phi * m_xi % p
+            masked = mask(epoch0.sk, ect.c1) * mask(epoch.sk, ect.c2) % p * ect.c3 % p
+            assert masked == m_phi * m_xi % p
 
 
 def test_encrypted_loop_single_step(cfg64):
@@ -229,77 +250,92 @@ def test_trace_csv_schema(tmp_path, cfg64):
     assert float(first[-1]) == trace.errors[0]
 
 
-def reference_output(sk0, sk_t, ect_matrix, cfg, **_):
-    """Row sums of entry-by-entry two-key decryptions, no mask sharing."""
+def masks_of(sk, ct_rows):
+    """mask(sk, c1) of every ciphertext of a matrix, by position."""
+    return [[mask(sk, ct.c1) for ct in row] for row in ct_rows]
+
+
+def reference_output(pk0, sk0, sk_t, ct_phi, ct_xi, cfg):
+    """Row sums of entry-by-entry two-key decryptions of the full
+    cross-epoch products: no compact reply and no shared masks."""
     return sum_rows(
-        [[decode(cross_decrypt(sk0, sk_t, ect), cfg, power=2) for ect in row] for row in ect_matrix]
+        [
+            [
+                decode(cross_decrypt(sk0, sk_t, cross_eval(pk0, ct, ct_xi[j])), cfg, power=2)
+                for j, ct in enumerate(row)
+            ]
+            for row in ct_phi
+        ]
     )
 
 
-def test_decrypt_output_matches_per_entry_reference(cfg64):
-    key_rng = random.Random(21)
-    rng = np.random.default_rng(21)
-    epoch0 = initial_epoch(cfg64.params, key_rng)
-    ct_phi = encrypt_matrix(epoch0.pk, rng.uniform(-2, 2, (4, 4)), cfg64, key_rng)
-    masks0 = {}
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), gap=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_decrypt_output_matches_cross_decrypt(group64, data, gap, seed):
+    # random gains, states (zeros included) and epoch gaps on a 64-bit group
+    alpha, beta = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+    row = st.lists(entry, min_size=beta, max_size=beta)
+    gain = np.array(data.draw(st.lists(row, min_size=alpha, max_size=alpha)))
+    state = np.array(data.draw(row))
+    cfg = CodecConfig(group64, delta=1e-3, value_bound=1000.0)
+    key_rng = random.Random(seed)
+    epoch0 = initial_epoch(group64, key_rng)
+    ct_phi = encrypt_matrix(epoch0.pk, gain, cfg, key_rng)
     epoch = epoch0
-    for _ in range(3):
+    for _ in range(gap):
         epoch, _ = key_update(epoch, key_rng)
-        ct_xi = encrypt_vector(epoch.pk, rng.uniform(-5, 5, 4), cfg64, key_rng)
-        ects = encrypted_controller(epoch0.pk, ct_phi, ct_xi)
-        expected = reference_output(epoch0.sk, epoch.sk, ects, cfg64)
-        assert np.array_equal(decrypt_controller_output(epoch0.sk, epoch.sk, ects, cfg64), expected)
-        got = decrypt_controller_output(epoch0.sk, epoch.sk, ects, cfg64, masks0=masks0)
-        assert np.array_equal(got, expected)
-    assert len(masks0) == 16  # one per gain entry, reused across steps
-    # a cache filled under one secret never answers for another
-    other = initial_epoch(cfg64.params, key_rng)
-    got = decrypt_controller_output(other.sk, epoch.sk, ects, cfg64, masks0=masks0)
-    assert np.array_equal(got, reference_output(other.sk, epoch.sk, ects, cfg64))
+    ct_xi = encrypt_vector(epoch.pk, encode_vector(state, cfg), key_rng)
+    reply = encrypted_controller(epoch0.pk, ct_phi, ct_xi)
+    got = decrypt_controller_output(
+        masks_of(epoch0.sk, ct_phi), masks_of(epoch.sk, [ct_xi])[0], reply, cfg
+    )
+    expected = reference_output(epoch0.pk, epoch0.sk, epoch.sk, ct_phi, ct_xi, cfg)
+    assert np.array_equal(got, expected)
 
 
-def test_decrypt_output_hand_built_reply(cfg64):
-    # a reply that does not share columns: the state component c2 differs
-    # on every row, while one gain component c1 repeats everywhere
-    params = cfg64.params
-    rng = random.Random(22)
-    sk0 = initial_epoch(params, rng).sk
-    sk_t = initial_epoch(params, rng).sk
-    c1 = g_pow(params, rng.randrange(1, params.q))
-    ects = [
-        [
-            ExtendedCiphertext(c1, g_pow(params, rng.randrange(1, params.q)), rng.randrange(1, params.p))
-            for _ in range(3)
-        ]
-        for _ in range(2)
+def reference_loop(model, controller, cfg, T, noise_rng, key_rng):
+    """run_encrypted_loop written out entry by entry: encode and encrypt
+    each value on its own, reply with full cross-epoch products, and
+    two-key decrypt each one."""
+    def encode_nonzero(v):
+        return encode(cfg.delta if round(v / cfg.delta) == 0 else v, cfg)
+
+    epoch0 = initial_epoch(cfg.params, key_rng)
+    ct_phi = [
+        [encrypt(epoch0.pk, encode_nonzero(v), key_rng) for v in row] for row in controller.Phi
     ]
-    expected = reference_output(sk0, sk_t, ects, cfg64)
-    masks0 = {}
-    for _ in range(2):
-        got = decrypt_controller_output(sk0, sk_t, ects, cfg64, masks0=masks0)
-        assert np.array_equal(got, expected)
-    assert np.array_equal(decrypt_controller_output(sk0, sk_t, ects, cfg64), expected)
-    assert len(masks0) == 1  # the repeated gain component
+    epoch = epoch0
+    x = noise_rng.normal(0.0, np.sqrt(model.sigma_x2), model.n)
+    states, inputs, refs = [], [], []
+    for _ in range(T):
+        x_quant = np.array([decode(encode_nonzero(v), cfg) for v in x])
+        ct_xi = [encrypt(epoch.pk, encode_nonzero(v), key_rng) for v in x]
+        u = reference_output(epoch0.pk, epoch0.sk, epoch.sk, ct_phi, ct_xi, cfg)
+        states.append(x)
+        inputs.append(u)
+        refs.append(controller.Phi @ x_quant)
+        x = plant_step(model, x, u, noise_rng)
+        epoch, _ = key_update(epoch, key_rng)
+    return np.array(states), np.array(inputs), np.array(refs)
 
 
-def test_encrypted_loop_matches_per_entry_decryption(monkeypatch, cfg64):
+def test_encrypted_loop_matches_per_entry_decryption(cfg64):
     model = sec6_plant(sigma_w2=0.01)
     controller = ControllerParams(np.array([[-0.3, 0.1, 0, 0.2]] * 4) - 0.1 * np.eye(4))
-
-    def run():
-        key_rng = random.Random(31)
-        trace = run_encrypted_loop(
-            model, controller, cfg64, T=8,
-            noise_rng=np.random.default_rng(31), key_rng=key_rng,
-        )
-        return trace, key_rng.getstate()
-
-    shared, shared_state = run()
-    monkeypatch.setattr(enc_control, "decrypt_controller_output", reference_output)
-    ref, ref_state = run()
-    for field in ("times", "states", "inputs", "ref_inputs", "errors"):
-        assert np.array_equal(getattr(shared, field), getattr(ref, field)), field
-    assert shared_state == ref_state
+    key_rng, ref_key_rng = random.Random(31), random.Random(31)
+    trace = run_encrypted_loop(
+        model, controller, cfg64, T=8,
+        noise_rng=np.random.default_rng(31), key_rng=key_rng,
+    )
+    states, inputs, refs = reference_loop(
+        model, controller, cfg64, 8, np.random.default_rng(31), ref_key_rng
+    )
+    assert np.array_equal(trace.states, states)
+    assert np.array_equal(trace.inputs, inputs)
+    assert np.array_equal(trace.ref_inputs, refs)
+    assert np.array_equal(trace.errors, np.abs(inputs - refs).max(axis=1))
+    assert key_rng.getstate() == ref_key_rng.getstate()
 
 
 def test_encrypted_loop_modexp_count(monkeypatch, cfg64):
@@ -309,8 +345,17 @@ def test_encrypted_loop_modexp_count(monkeypatch, cfg64):
     controller = ControllerParams(-0.3 * np.eye(4))
     alpha, beta, T = 4, 4, 5
     calls = count_calls(monkeypatch, "powmod")
+    encodes = []
+    real_encode = enc_control.encode
+
+    def counted_encode(x, cfg):
+        encodes.append(x)
+        return real_encode(x, cfg)
+
+    monkeypatch.setattr(enc_control, "encode", counted_encode)
     run_encrypted_loop(
         model, controller, cfg64, T=T,
         noise_rng=np.random.default_rng(41), key_rng=random.Random(41),
     )
-    assert len(calls) <= 2 * alpha * beta + 2 * beta * T
+    assert len(calls) == 2 * alpha * beta + 2 * beta * T
+    assert len(encodes) == alpha * beta + beta * T  # each value encoded once
