@@ -9,7 +9,9 @@ not through this simulation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -63,6 +65,62 @@ class IdentResult:
     epsilon: float
 
 
+# Byte budget for the trajectories (x, u and w) of one block of trials
+# stepped together.  It sets the block size, so memory stays bounded
+# however many trials a grid point runs.
+_BLOCK_BYTES = 1 << 20
+
+
+def _simulate(
+    model: PlantModel, atk: AttackConfig, rngs: Iterable[np.random.Generator]
+) -> Iterator[DataMatrices]:
+    """Simulate one trial per generator and yield each trial's attack window.
+
+    Every generator draws x_0, then u (m x t_f), then w (n x t_f), as a lone
+    trial would.  The trials then step together, a block at a time.  The
+    products use einsum's fixed summation order rather than BLAS, whose
+    kernel changes with the block width, so a trial's data does not depend
+    on the block it ran in.
+    """
+    n, m = model.n, model.m
+    if atk.N < n + m + 1:
+        raise ValueError(f"N={atk.N} below the identifiability floor n+m+1={n + m + 1}")
+    t_f = atk.t_s + atk.N - 1
+    s = atk.t_s
+    # einsum's summation order follows the operands' memory layout: fixing
+    # C order makes the bits depend on the plant's values alone
+    A = np.ascontiguousarray(model.A)
+    B = np.ascontiguousarray(model.B)
+    sd_x, sd_u, sd_w = np.sqrt(model.sigma_x2), np.sqrt(atk.sigma_u2), np.sqrt(model.sigma_w2)
+    block = max(1, _BLOCK_BYTES // (8 * ((t_f + 1) * n + t_f * (m + n))))
+    rngs = iter(rngs)
+    while chunk := list(islice(rngs, block)):
+        b = len(chunk)
+        # time-major, so each step reads and writes contiguous (b, n) rows
+        x = np.empty((t_f + 1, b, n))
+        u = np.empty((t_f, b, m))
+        w = np.empty((t_f, b, n))
+        for k, rng in enumerate(chunk):
+            x[0, k] = rng.normal(0.0, sd_x, n)
+            u[:, k] = rng.normal(0.0, sd_u, (m, t_f)).T
+            w[:, k] = rng.normal(0.0, sd_w, (n, t_f)).T
+        # x_{t+1} = (A x_t + B u_t) + w_t: B u_t is formed for every step
+        # at once in x's own rows, and float addition commutes, so adding
+        # A x_t to it gives the same bits
+        np.einsum("tkj,ij->tki", u, B, out=x[1:])
+        for t in range(t_f):
+            nxt = x[t + 1]
+            nxt += np.einsum("kj,ij->ki", x[t], A)
+            nxt += w[t]
+        for k in range(b):
+            yield DataMatrices(
+                Xf=x[s + 1 :, k].T.copy(),
+                Xp=x[s:t_f, k].T.copy(),
+                Up=u[s:, k].T.copy(),
+                Wp=w[s:, k].T.copy(),
+            )
+
+
 def collect_data(model: PlantModel, atk: AttackConfig, rng: np.random.Generator) -> DataMatrices:
     """Simulate the plant under Gaussian probing and stack the attack window.
 
@@ -70,23 +128,7 @@ def collect_data(model: PlantModel, atk: AttackConfig, rng: np.random.Generator)
     probing inputs u_t ~ N(0, sigma_u^2 I) from t = 0 on; the window
     [t_s, t_f] is then sliced out.
     """
-    n, m = model.n, model.m
-    if atk.N < n + m + 1:
-        raise ValueError(f"N={atk.N} below the identifiability floor n+m+1={n + m + 1}")
-    t_f = atk.t_s + atk.N - 1
-    x = np.empty((n, t_f + 1))
-    x[:, 0] = rng.normal(0.0, np.sqrt(model.sigma_x2), n)
-    u = rng.normal(0.0, np.sqrt(atk.sigma_u2), (m, t_f))
-    w = rng.normal(0.0, np.sqrt(model.sigma_w2), (n, t_f))
-    for t in range(t_f):
-        x[:, t + 1] = model.A @ x[:, t] + model.B @ u[:, t] + w[:, t]
-    s = atk.t_s
-    return DataMatrices(
-        Xf=x[:, s + 1 : t_f + 1].copy(),
-        Xp=x[:, s:t_f].copy(),
-        Up=u[:, s:t_f].copy(),
-        Wp=w[:, s:t_f].copy(),
-    )
+    return next(_simulate(model, atk, [rng]))
 
 
 def least_squares_estimate(
@@ -124,11 +166,15 @@ def estimation_error(
     return float(np.linalg.norm(truth - est, "fro") ** 2) / c
 
 
-def identify(model: PlantModel, atk: AttackConfig, rng: np.random.Generator) -> IdentResult:
-    """One collect-estimate-score pass against a known true plant."""
-    data = collect_data(model, atk, rng)
+def _score(model: PlantModel, data: DataMatrices) -> IdentResult:
+    """Estimate (A, B) from one trial's window and score it against the plant."""
     Ahat, Bhat = least_squares_estimate(data)
     return IdentResult(Ahat, Bhat, estimation_error(model.A, model.B, Ahat, Bhat))
+
+
+def identify(model: PlantModel, atk: AttackConfig, rng: np.random.Generator) -> IdentResult:
+    """One collect-estimate-score pass against a known true plant."""
+    return _score(model, collect_data(model, atk, rng))
 
 
 @dataclass(frozen=True)
@@ -149,16 +195,21 @@ def monte_carlo_error(
 ) -> MonteCarloResult:
     """Repeat the identification attack with independently seeded trials.
 
-    Sub-seeds are spawned deterministically from ``seed``, so results are
-    bit-identical across runs and independent of trial ordering.
+    Trial i draws from ``default_rng`` on the i-th child that
+    ``SeedSequence(seed).spawn(trials)`` gives, so its epsilon equals
+    ``identify(model, atk, default_rng(child_i)).epsilon`` exactly.  It
+    depends neither on the other trials nor on how many run, and results
+    are bit-identical across runs.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     eps = np.full(trials, np.nan)
     failed = 0
-    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+    children = np.random.SeedSequence(seed).spawn(trials)
+    datasets = _simulate(model, atk, (np.random.default_rng(ss) for ss in children))
+    for i, data in enumerate(datasets):
         try:
-            eps[i] = identify(model, atk, np.random.default_rng(ss)).epsilon
+            eps[i] = _score(model, data).epsilon
         except RankDeficiencyError:
             failed += 1
     mean = float(np.nanmean(eps)) if failed < trials else float("nan")

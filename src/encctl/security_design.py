@@ -236,11 +236,13 @@ def design_security_parameter(
     """Minimum dangerous sample size and minimum sufficient bit security.
 
     N* = floor((m+n) / (gamma_c [R_sigma (tr(Psi_u)+m) + tr(Psi_w)])) + 2
-    lambda* = floor(log2(upsilon * tau_c / N*)) + 1
+    lambda* = max(1, floor(log2(upsilon * tau_c / N*)) + 1)
 
     Both floors are evaluated in exact rational arithmetic; binary floats
     are carried in exactly, so results cannot flip from rounding near an
-    integer boundary.
+    integer boundary.  The formula gives lambda* <= 0 when upsilon * tau_c
+    < N* / 2: breaking N* samples then outlasts tau_c at any level, so
+    lambda* is clamped to 1, the least level ``deciphering_time`` accepts.
     """
     tr_u = Fraction(float(np.trace(np.asarray(Psi_u, dtype=float))))
     tr_w = Fraction(float(np.trace(np.asarray(Psi_w, dtype=float))))
@@ -248,7 +250,7 @@ def design_security_parameter(
     if denom <= 0:
         raise ValueError("R_sigma and the Gramian traces must make the denominator positive")
     N_star = math.floor(Fraction(m + n) / denom) + 2
-    lam_star = _floor_log2(Fraction(req.upsilon) * Fraction(req.tau_c) / N_star) + 1
+    lam_star = max(1, _floor_log2(Fraction(req.upsilon) * Fraction(req.tau_c) / N_star) + 1)
     return N_star, lam_star
 
 
@@ -266,16 +268,23 @@ def min_key_length(
 ) -> int:
     """Smallest key length whose attack cost reaches 2^lambda*.
 
-    Compares ln Omega(k) >= lambda* ln 2 and walks k upward; the cost
-    model is monotone, and working in logs avoids materializing 2^lambda.
+    Compares ln Omega(k) >= lambda* ln 2, working in logs so 2^lambda is
+    never materialized.  The cost model is monotone, so doubling k brackets
+    k* and bisection then pins it: O(log k*) evaluations of ``ln_cost``.
     """
     if lambda_star < 1:
         raise ValueError("lambda_star must be at least 1")
     target = lambda_star * math.log(2.0)
-    k = 2
-    while ln_cost(k) < target:
-        k += 1
-    return k
+    lo, hi = 2, 2  # every k < lo falls short; k* <= hi once the loop exits
+    while ln_cost(hi) < target:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ln_cost(mid) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,20 @@ def test_design_reproduces_reference(tmp_path, capsys):
     assert doc == {"N_star": 13159, "lambda_star": 74, "k_star": 712}
 
 
+def test_design_weak_requirement_needs_one_bit(tmp_path, capsys):
+    # upsilon * tau_c = 100 < N*/2: breaking N* samples outlasts tau_c at
+    # any security level, so the design asks for the least one
+    doc = yaml.safe_load(DESIGN_CONFIG)
+    doc["requirement"].update(tau_c=1.0, upsilon=100.0)
+    path = write(tmp_path, yaml.safe_dump(doc))
+    assert main(["design", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "design.json").read_text())
+    assert doc["N_star"] > 200
+    assert doc["lambda_star"] == 1
+    assert doc["k_star"] == 2
+
+
 def test_design_requires_requirement_block(tmp_path, capsys):
     path = write(tmp_path, SIM_CONFIG)
     code = main(["design", "--config", str(path), "--out", str(tmp_path)])

@@ -1,6 +1,11 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from encctl import identification
 from encctl.enc_control import PlantModel
 from encctl.identification import (
     AttackConfig,
@@ -12,7 +17,7 @@ from encctl.identification import (
     least_squares_estimate,
     monte_carlo_error,
 )
-from encctl.security_design import sic_large_n
+from encctl.security_design import sic_large_n, spectral_radius
 
 ROOT_HALF = float(np.sqrt(0.5))
 
@@ -176,3 +181,84 @@ def test_error_shrinks_with_sample_size():
         medians.append(np.median(result.epsilons))
     inversions = sum(medians[i + 1] > medians[i] for i in range(len(medians) - 1))
     assert inversions <= 1
+
+
+def reference_collect(model, atk, rng):
+    """One trial written out step by step with matrix-vector products."""
+    n, m = model.n, model.m
+    t_f = atk.t_s + atk.N - 1
+    x = np.empty((n, t_f + 1))
+    x[:, 0] = rng.normal(0.0, np.sqrt(model.sigma_x2), n)
+    u = rng.normal(0.0, np.sqrt(atk.sigma_u2), (m, t_f))
+    w = rng.normal(0.0, np.sqrt(model.sigma_w2), (n, t_f))
+    for t in range(t_f):
+        x[:, t + 1] = model.A @ x[:, t] + model.B @ u[:, t] + w[:, t]
+    s = atk.t_s
+    return DataMatrices(Xf=x[:, s + 1 :], Xp=x[:, s:t_f], Up=u[:, s:], Wp=w[:, s:])
+
+
+@st.composite
+def dense_attacks(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.floats(-1.0, 1.0)
+    M = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    A = M * (draw(st.floats(0.0, 0.95)) / max(spectral_radius(M), 1.0))
+    B = 2 * np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m))).reshape(n, m)
+    model = PlantModel(A, B, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2.0)))
+    atk = AttackConfig(
+        sigma_u2=draw(st.floats(0.0, 10.0)),
+        N=draw(st.integers(n + m + 1, 80)),
+        t_s=draw(st.integers(0, 3)),
+    )
+    return model, atk
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    case=dense_attacks(),
+    trials=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    block_bytes=st.integers(1, 40_000),
+)
+def test_monte_carlo_trial_equals_identify(case, trials, seed, block_bytes):
+    # block_bytes spans blocks of one trial up to all of them, so each
+    # trial's epsilon must not depend on the block it was stepped in
+    model, atk = case
+    with mock.patch.object(identification, "_BLOCK_BYTES", block_bytes):
+        result = monte_carlo_error(model, atk, trials, seed)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    for i, child in enumerate(children):
+        try:
+            expected = identify(model, atk, np.random.default_rng(child)).epsilon
+        except RankDeficiencyError:
+            expected = np.nan
+        assert np.array_equal(result.epsilons[i], expected, equal_nan=True)
+    assert result.n_failed == int(np.isnan(result.epsilons).sum())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=dense_attacks(), seed=st.integers(0, 2**32 - 1))
+def test_collect_matches_reference_loop(case, seed):
+    model, atk = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    data = collect_data(model, atk, rng)
+    ref = reference_collect(model, atk, ref_rng)
+    # the same draws in the same order, and nothing else drawn
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(data.Up, ref.Up) and np.array_equal(data.Wp, ref.Wp)
+    for got, want in ((data.Xf, ref.Xf), (data.Xp, ref.Xp)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_monte_carlo_memory_is_bounded():
+    # var_panel_a at its largest grid point: peak memory must not grow
+    # with the number of trials stepped together
+    model = PlantModel(0.7071 * np.eye(4), np.eye(4), 0.1, 1.0)
+    tracemalloc.start()
+    try:
+        monte_carlo_error(model, AttackConfig(sigma_u2=0.1, N=1600), trials=50, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

@@ -252,6 +252,39 @@ def test_gnfs_boundary():
     assert min_key_length(74) == 712
 
 
+def test_min_key_length_matches_linear_walk():
+    # k* is monotone in lambda, so one upward walk gives every reference
+    k, expected = 2, []
+    for lam in range(1, 401):
+        while gnfs_ln_complexity(k) < lam * math.log(2):
+            k += 1
+        expected.append(k)
+    assert [min_key_length(lam) for lam in range(1, 401)] == expected
+
+
+def test_min_key_length_search_is_logarithmic():
+    calls = []
+
+    def ln_cost(k):
+        calls.append(k)
+        return gnfs_ln_complexity(k)
+
+    # k* = 2,765,202: a linear walk makes that many evaluations
+    assert min_key_length(2046, ln_cost) == 2_765_202
+    assert len(calls) <= 2 * math.log2(2_765_202) + 2
+
+
+def test_weak_requirement_clamps_lambda_to_one():
+    # upsilon * tau_c = 100 < N*/2: the unclamped formula gives lambda* = -7
+    req = SecurityRequirement(SEC6_REQ.gamma_c, 1.0, 100.0)
+    N_star, lam_star = design_security_parameter(
+        4, 4, 100.0, 0.5 * np.eye(4), 2 * np.eye(4), req
+    )
+    assert (N_star, lam_star) == (13159, 1)
+    assert deciphering_time(N_star, lam_star, req.upsilon) > req.tau_c
+    assert design(4, 4, 100.0, 0.5 * np.eye(4), 2 * np.eye(4), req) == DesignResult(13159, 1, 2)
+
+
 def test_min_key_length_monotone():
     lengths = [min_key_length(lam) for lam in range(1, 120, 7)]
     assert all(a <= b for a, b in zip(lengths, lengths[1:]))
