@@ -148,7 +148,7 @@ def _parse_plant(block: dict) -> PlantBlock:
     if A is not None:
         A = _matrix(A, n, n, "plant.A")
         B = _matrix(B, n, m, "plant.B")
-        if float(np.abs(np.linalg.eigvals(A)).max()) >= 1.0:
+        if security_design.spectral_radius(A) >= 1.0:
             _fail("plant.A", "spectral radius must be below 1")
     psi_u = block.get("psi_u")
     psi_w = block.get("psi_w")
@@ -249,6 +249,8 @@ def load_config(path: str | Path) -> RunConfig:
             doc = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: invalid YAML in {path}: {exc}")
     return parse_config(doc)
@@ -502,8 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            _fail("--seed", f"expected a nonnegative integer, got {args.seed}")
         cfg = load_preset(args.preset) if args.preset else load_config(args.config)
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _fail("--out", f"not a usable output directory: {exc}")
         seed = args.seed
         if seed is None:
             seed = cfg.attack.seed if cfg.attack is not None else 0

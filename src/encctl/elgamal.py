@@ -52,6 +52,18 @@ def _trusted(cls, *values):
     return obj
 
 
+def _pick_r(params: GroupParams, rng: random.Random | None, r: int | None, caller: str) -> int:
+    """The randomness exponent for ``caller``: ``r`` when given, checked to
+    lie in [0, q), otherwise one draw from (0, q)."""
+    if r is None:
+        if rng is None:
+            raise ValueError(f"{caller} needs an rng when r is not given")
+        return rng.randrange(1, params.q)
+    if not 0 <= r < params.q:
+        raise ValueError("r outside [0, q)")
+    return r
+
+
 def keygen(params: GroupParams, rng: random.Random) -> tuple[PublicKey, SecretKey]:
     """Draw s uniform over Z_q and return ((params, g^s mod p), s)."""
     s = rng.randrange(params.q)
@@ -69,12 +81,7 @@ def encrypt(pk: PublicKey, m: int, rng: random.Random | None = None, r: int | No
     p = pk.params.p
     if not is_member(pk.params, m):
         raise ValueError(f"plaintext {m} is not a subgroup member")
-    if r is None:
-        if rng is None:
-            raise ValueError("encrypt needs an rng when r is not given")
-        r = rng.randrange(1, pk.params.q)
-    elif not 0 <= r < pk.params.q:
-        raise ValueError("r outside [0, q)")
+    r = _pick_r(pk.params, rng, r, "encrypt")
     return Ciphertext(g_pow(pk.params, r), m * powmod(pk.h, r, p) % p)
 
 
@@ -98,13 +105,3 @@ def multiply(pk: PublicKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     """Homomorphic product of two ciphertexts under the same key epoch."""
     p = pk.params.p
     return Ciphertext(ct1.c1 * ct2.c1 % p, ct1.c2 * ct2.c2 % p)
-
-
-def format_ciphertext(ct: Ciphertext) -> str:
-    """Decimal `c1,c2` pair, CSV-compatible."""
-    return f"{ct.c1},{ct.c2}"
-
-
-def parse_ciphertext(text: str) -> Ciphertext:
-    c1, c2 = text.strip().split(",")
-    return Ciphertext(int(c1), int(c2))

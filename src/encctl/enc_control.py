@@ -27,6 +27,7 @@ import numpy as np
 
 from .codec import CodecConfig, decode, encode, sum_rows
 from .elgamal import Ciphertext, PublicKey, encrypt, mask
+from .security_design import spectral_radius
 from .updatable import initial_epoch, key_update
 
 
@@ -53,7 +54,7 @@ class PlantModel:
             raise ValueError("A must be square")
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError("B must have as many rows as A")
-        if float(np.abs(np.linalg.eigvals(A)).max()) >= 1.0:
+        if spectral_radius(A) >= 1.0:
             raise ValueError("A must be stable (spectral radius < 1)")
         if self.sigma_w2 < 0 or self.sigma_x2 < 0:
             raise ValueError("variances must be nonnegative")

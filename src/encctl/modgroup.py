@@ -53,8 +53,8 @@ _TABLE_CACHE_SIZE = 4  # generator tables kept alive at once
 # Instance attribute set by generate_group_params only: p and q passed
 # Miller-Rabin, so membership may use the Legendre symbol.  It is not a
 # dataclass field, so equality, hash and repr stay those of (p, q, g,
-# cofactor), and a group rebuilt from the same numbers by hand or by
-# parse_keyfile is not marked.
+# cofactor), and a group rebuilt from the same numbers by hand is not
+# marked.
 _PRIME_MARK = "_safe_prime_tested"
 
 
@@ -248,31 +248,3 @@ def nearest_member(params: GroupParams, target: int) -> int:
         if offset > 0 and hi < params.p and is_member(params, hi):
             return hi
     raise AssertionError("unreachable: subgroup is nonempty")
-
-
-def format_keyfile(params: GroupParams) -> str:
-    """Serialize group parameters as decimal `p=`, `q=`, `g=` lines."""
-    return f"p={params.p}\nq={params.q}\ng={params.g}\n"
-
-
-def parse_keyfile(text: str) -> GroupParams:
-    """Parse the text produced by :func:`format_keyfile`.
-
-    Recomputes the cofactor from p and q; structural invariants are
-    checked by the GroupParams constructor.  Primality is not re-verified
-    here (use :func:`is_probable_prime` when loading untrusted files).
-    """
-    fields: dict[str, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = int(value)
-    missing = {"p", "q", "g"} - fields.keys()
-    if missing:
-        raise ValueError(f"key file missing fields: {sorted(missing)}")
-    p, q, g = fields["p"], fields["q"], fields["g"]
-    if q == 0 or (p - 1) % q != 0:
-        raise ValueError("q does not divide p - 1")
-    return GroupParams(p=p, q=q, g=g, cofactor=(p - 1) // q)

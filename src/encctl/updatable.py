@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elgamal import Ciphertext, PublicKey, SecretKey, _trusted, decrypt, keygen, multiply
+from .elgamal import Ciphertext, PublicKey, SecretKey, _pick_r, _trusted, decrypt, keygen, multiply
 from .modgroup import GroupParams, g_pow, powmod
 
 
@@ -86,12 +86,7 @@ def ct_update(
     is also re-randomized.  Decrypting under the post-rotation secret key
     yields the original plaintext.
     """
-    if r is None:
-        if rng is None:
-            raise ValueError("ct_update needs an rng when r is not given")
-        r = rng.randrange(1, params.q)
-    elif not 0 <= r < params.q:
-        raise ValueError("r outside [0, q)")
+    r = _pick_r(params, rng, r, "ct_update")
     p = params.p
     c1_new = ct.c1 * g_pow(params, r) % p
     c2_new = powmod(c1_new, token.d, p) * ct.c2 % p * powmod(token.h_old, r, p) % p
@@ -128,13 +123,3 @@ def recover_next_key(sk: SecretKey, token: UpdateToken) -> SecretKey:
     the vulnerability concretely.
     """
     return SecretKey(sk.params, (sk.s + token.d) % sk.params.q)
-
-
-def format_extended(ect: ExtendedCiphertext) -> str:
-    """Decimal `c1,c2,c3` triple, CSV-compatible."""
-    return f"{ect.c1},{ect.c2},{ect.c3}"
-
-
-def parse_extended(text: str) -> ExtendedCiphertext:
-    c1, c2, c3 = text.strip().split(",")
-    return ExtendedCiphertext(int(c1), int(c2), int(c3))

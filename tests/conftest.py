@@ -2,9 +2,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import settings, strategies as st
 
 from encctl import modgroup
-from encctl.modgroup import GroupParams, generate_group_params
+from encctl.modgroup import GroupParams, generate_group_params, nearest_member
 
 # smallest safe-prime group; subgroup members are {1,2,3,4,6,8,9,12,13,16,18}
 TOY = GroupParams(p=23, q=11, g=2)
@@ -18,6 +19,18 @@ class ScriptedRng:
 
     def randrange(self, *args):
         return self.values.pop(0)
+
+
+# every Hypothesis law: 200 examples per group, the same ones on every run
+LAW = settings(max_examples=200, derandomize=True, deadline=None)
+# integers spanning every law group's residues, for ``member`` and exponents
+WIDE = st.integers(-(2**64), 2**64)
+
+
+def member(params: GroupParams, u: int) -> int:
+    """A subgroup member for any integer ``u``, for Hypothesis laws: u = 0
+    gives 1 and u = -1 the group's largest member."""
+    return nearest_member(params, 1 + u % (params.p - 1))
 
 
 def count_calls(monkeypatch, name: str) -> list:
@@ -49,3 +62,9 @@ def group64():
 @pytest.fixture(scope="session")
 def group712():
     return generate_group_params(712, random.Random(0x5EED))
+
+
+@pytest.fixture(scope="session", params=["toy_group", "group64"])
+def law_group(request):
+    """The groups every Hypothesis law runs on."""
+    return request.getfixturevalue(request.param)

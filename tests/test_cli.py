@@ -136,6 +136,59 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _regular_file(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("x", encoding="utf-8")
+    return path
+
+
+def _latin1_config(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(SIM_CONFIG.replace("plant:", "plant: # caf\xe9").encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        pytest.param(
+            lambda d: ["attack-sim", "--preset", "var_panel_a", "--seed", "-1"], "--seed",
+            id="attack-sim-negative-seed",
+        ),
+        pytest.param(
+            lambda d: ["loop-demo", "--preset", "reference_design", "--seed", "-1"], "--seed",
+            id="loop-demo-negative-seed",
+        ),
+        pytest.param(
+            lambda d: ["design", "--preset", "reference_design", "--seed", "-1"], "--seed",
+            id="design-negative-seed",
+        ),
+        pytest.param(
+            lambda d: ["design", "--preset", "reference_design", "--out", str(_regular_file(d))],
+            "--out", id="out-is-a-file",
+        ),
+        pytest.param(
+            lambda d: ["design", "--preset", "reference_design", "--out", str(_regular_file(d) / "sub")],
+            "--out", id="out-below-a-file",
+        ),
+        pytest.param(lambda d: ["design", "--config", str(d)], "config", id="config-is-a-directory"),
+        pytest.param(
+            lambda d: ["design", "--config", str(_latin1_config(d))], "config", id="config-not-utf8"
+        ),
+    ],
+)
+def test_command_line_boundary_exits_2(tmp_path, capsys, argv, field):
+    argv = argv(tmp_path)
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+    if field == "config":
+        assert argv[argv.index("--config") + 1] in err
+
+
 def test_complexity_curve_schema_and_ordering(tmp_path):
     code = main(["complexity-curve", "--preset", "reference_design", "--out", str(tmp_path)])
     assert code == 0

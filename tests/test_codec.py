@@ -1,10 +1,13 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from encctl.codec import CodecConfig, ZeroEncodingError, decode, encode, sum_rows
 from encctl.modgroup import nearest_member
+from conftest import LAW
 
 
 @pytest.fixture
@@ -119,6 +122,39 @@ def test_product_decode(cfg64):
         z1 = m1 if m1 <= half else m1 - p
         z2 = m2 if m2 <= half else m2 - p
         assert got == pytest.approx(z1 * z2 * cfg64.delta**2)
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+@LAW
+@given(t1=UNIT, t2=UNIT)
+@example(t1=1.0, t2=-1.0)
+@example(t1=-1.0, t2=0.0)
+def test_codec_laws(law_group, t1, t2):
+    # the widest bound whose squared level count stays clear of float rounding
+    cfg = CodecConfig(law_group, delta=0.01, value_bound=0.01 * math.isqrt(law_group.p // 4))
+    p = law_group.p
+    slack = 4 * math.ulp(cfg.value_bound)
+    encoded = []
+    for x in (t1 * cfg.value_bound, t2 * cfg.value_bound):
+        z = round(x / cfg.delta)
+        if z == 0:
+            with pytest.raises(ZeroEncodingError):
+                encode(x, cfg)
+            return
+        m = encode(x, cfg)
+        # rounding costs at most delta/2, and the projection onto the
+        # nearest member moves the level by exactly m - z mod p
+        assert abs(z * cfg.delta - x) <= cfg.delta / 2 + slack
+        assert decode(m, cfg) == (z + m - z % p) * cfg.delta
+        assert (decode(m, cfg) > 0) == (x > 0)
+        encoded.append(m)
+    # a product decodes at delta^2 while it stays inside the symmetric range
+    m1, m2 = encoded
+    z1, z2 = (m if m <= (p - 1) // 2 else m - p for m in encoded)
+    if abs(z1 * z2) <= (p - 1) // 2:
+        assert decode(m1 * m2 % p, cfg, power=2) == z1 * z2 * cfg.delta**2
 
 
 def test_sum_rows_examples():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given
 
 from encctl.elgamal import (
     Ciphertext,
@@ -8,13 +9,12 @@ from encctl.elgamal import (
     SecretKey,
     decrypt,
     encrypt,
-    format_ciphertext,
     keygen,
     mask,
     multiply,
-    parse_ciphertext,
 )
 from encctl.modgroup import is_member
+from conftest import LAW, WIDE, ScriptedRng, member
 
 
 @pytest.fixture
@@ -66,8 +66,10 @@ def test_encrypt_rejects_non_member(toy_keys):
 
 def test_encrypt_needs_rng_or_r(toy_keys):
     pk, _ = toy_keys
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="encrypt needs an rng"):
         encrypt(pk, 4)
+    with pytest.raises(ValueError, match="r outside"):
+        encrypt(pk, 4, r=11)
 
 
 def test_encrypt_never_draws_zero_r(toy_keys):
@@ -105,26 +107,26 @@ def test_multiply_examples(toy_keys):
     assert decrypt(sk, sq) == 16
 
 
-@pytest.mark.parametrize("group_fixture", ["toy_group", "group64"])
-def test_round_trip_200_cases(group_fixture, request):
-    params = request.getfixturevalue(group_fixture)
-    rng = random.Random(2024)
-    pk, sk = keygen(params, rng)
-    for _ in range(200):
-        m = random_member(params, rng)
-        assert decrypt(sk, encrypt(pk, m, rng)) == m
+@LAW
+@given(s=WIDE, m=WIDE, r=WIDE)
+@example(s=0, m=0, r=0)
+@example(s=-1, m=-1, r=-1)
+def test_round_trip_200_cases(law_group, s, m, r):
+    pk, sk = keygen(law_group, ScriptedRng(s % law_group.q))
+    m = member(law_group, m)
+    assert decrypt(sk, encrypt(pk, m, r=r % law_group.q)) == m
 
 
-@pytest.mark.parametrize("group_fixture", ["toy_group", "group64"])
-def test_homomorphism_200_cases(group_fixture, request):
-    params = request.getfixturevalue(group_fixture)
-    rng = random.Random(77)
-    pk, sk = keygen(params, rng)
-    for _ in range(200):
-        m1 = random_member(params, rng)
-        m2 = random_member(params, rng)
-        ct = multiply(pk, encrypt(pk, m1, rng), encrypt(pk, m2, rng))
-        assert decrypt(sk, ct) == m1 * m2 % params.p
+@LAW
+@given(s=WIDE, m1=WIDE, m2=WIDE, r1=WIDE, r2=WIDE)
+@example(s=0, m1=0, m2=-1, r1=0, r2=-1)
+@example(s=-1, m1=-1, m2=-1, r1=-1, r2=1)
+def test_homomorphism_200_cases(law_group, s, m1, m2, r1, r2):
+    params = law_group
+    pk, sk = keygen(params, ScriptedRng(s % params.q))
+    m1, m2 = member(params, m1), member(params, m2)
+    ct = multiply(pk, encrypt(pk, m1, r=r1 % params.q), encrypt(pk, m2, r=r2 % params.q))
+    assert decrypt(sk, ct) == m1 * m2 % params.p
 
 
 def test_ciphertext_components_stay_in_subgroup(group64):
@@ -135,9 +137,3 @@ def test_ciphertext_components_stay_in_subgroup(group64):
         assert is_member(group64, ct.c1) and is_member(group64, ct.c2)
         ct2 = multiply(pk, ct, ct)
         assert is_member(group64, ct2.c1) and is_member(group64, ct2.c2)
-
-
-def test_ciphertext_text_round_trip():
-    ct = Ciphertext(1234567890123456789, 42)
-    assert format_ciphertext(ct) == "1234567890123456789,42"
-    assert parse_ciphertext(format_ciphertext(ct)) == ct

@@ -2,6 +2,7 @@ import random
 
 import pytest
 import scipy.stats
+from hypothesis import example, given, strategies as st
 
 from encctl.elgamal import Ciphertext, PublicKey, SecretKey, decrypt, encrypt, keygen
 from encctl.modgroup import is_member
@@ -12,13 +13,11 @@ from encctl.updatable import (
     cross_decrypt,
     cross_eval,
     ct_update,
-    format_extended,
     initial_epoch,
     key_update,
-    parse_extended,
     recover_next_key,
 )
-from conftest import ScriptedRng, count_calls
+from conftest import LAW, WIDE, ScriptedRng, count_calls, member
 
 
 @pytest.fixture
@@ -64,6 +63,14 @@ def test_ct_update_example(toy_group):
 def test_ct_update_identity(toy_group):
     ct = Ciphertext(4, 3)
     assert ct_update(toy_group, ct, UpdateToken(8, 0), r=0) == ct
+
+
+def test_ct_update_needs_rng_or_r(toy_group):
+    ct, token = Ciphertext(4, 3), UpdateToken(8, 4)
+    with pytest.raises(ValueError, match="ct_update needs an rng"):
+        ct_update(toy_group, ct, token)
+    with pytest.raises(ValueError, match="r outside"):
+        ct_update(toy_group, ct, token, r=-1)
 
 
 def test_ct_update_preserves_plaintext_any_randomness(toy_group):
@@ -114,35 +121,38 @@ def test_recover_next_key_examples(toy_group):
     assert recover_next_key(sk, UpdateToken(8, 9)).s == 1
 
 
-@pytest.mark.parametrize("group_fixture", ["toy_group", "group64"])
-def test_epoch_chain_decrypt_invariance(group_fixture, request):
-    params = request.getfixturevalue(group_fixture)
-    rng = random.Random(11)
-    for _ in range(10):
-        epoch = initial_epoch(params, rng)
-        m = pow(params.g, rng.randrange(params.q), params.p)
-        ct = encrypt(epoch.pk, m, rng)
-        for _ in range(50):
-            epoch, token = key_update(epoch, rng)
-            ct = ct_update(params, ct, token, rng)
-            assert decrypt(epoch.sk, ct) == m
+@LAW
+@given(s=WIDE, m=WIDE, r=WIDE, steps=st.lists(st.tuples(WIDE, WIDE), max_size=30))
+@example(s=0, m=0, r=0, steps=[(0, 0)])
+@example(s=-1, m=-1, r=-1, steps=[(-1, -1), (0, 1)])
+def test_epoch_chain_decrypt_invariance(law_group, s, m, r, steps):
+    # k rotations, each ct_update with its own r, then decrypt at the end
+    params = law_group
+    epoch = initial_epoch(params, ScriptedRng(s % params.q))
+    m = member(params, m)
+    ct = encrypt(epoch.pk, m, r=r % params.q)
+    for s_next, r_next in steps:
+        epoch, token = key_update(epoch, ScriptedRng(s_next % params.q))
+        ct = ct_update(params, ct, token, r=r_next % params.q)
+    assert decrypt(epoch.sk, ct) == m
 
 
-@pytest.mark.parametrize("group_fixture", ["toy_group", "group64"])
-def test_cross_time_homomorphism_200_cases(group_fixture, request):
-    params = request.getfixturevalue(group_fixture)
-    rng = random.Random(99)
-    for case in range(200):
-        epoch_t = initial_epoch(params, rng)
-        m1 = pow(params.g, rng.randrange(params.q), params.p)
-        m2 = pow(params.g, rng.randrange(params.q), params.p)
-        ct1 = encrypt(epoch_t.pk, m1, rng)
-        epoch_later = epoch_t
-        for _ in range(case % 21):  # epoch gaps k = 0..20
-            epoch_later, _ = key_update(epoch_later, rng)
-        ct2 = encrypt(epoch_later.pk, m2, rng)
-        ect = cross_eval(epoch_t.pk, ct1, ct2)
-        assert cross_decrypt(epoch_t.sk, epoch_later.sk, ect) == m1 * m2 % params.p
+@LAW
+@given(s=WIDE, m1=WIDE, m2=WIDE, r1=WIDE, r2=WIDE, later=st.lists(WIDE, max_size=20))
+@example(s=0, m1=0, m2=-1, r1=0, r2=-1, later=[])
+@example(s=-1, m1=-1, m2=-1, r1=-1, r2=1, later=[0])
+def test_cross_time_homomorphism_200_cases(law_group, s, m1, m2, r1, r2, later):
+    # the second operand is encrypted k = 0..20 rotations after the first
+    params = law_group
+    epoch_t = initial_epoch(params, ScriptedRng(s % params.q))
+    epoch_later = epoch_t
+    for s_next in later:
+        epoch_later, _ = key_update(epoch_later, ScriptedRng(s_next % params.q))
+    m1, m2 = member(params, m1), member(params, m2)
+    ct1 = encrypt(epoch_t.pk, m1, r=r1 % params.q)
+    ct2 = encrypt(epoch_later.pk, m2, r=r2 % params.q)
+    ect = cross_eval(epoch_t.pk, ct1, ct2)
+    assert cross_decrypt(epoch_t.sk, epoch_later.sk, ect) == m1 * m2 % params.p
 
 
 def test_recover_next_key_always_exact(group64):
@@ -166,9 +176,3 @@ def test_next_secret_uniform_without_token(toy_epoch):
         counts[nxt.sk.s] += 1
     _, p_value = scipy.stats.chisquare(counts)
     assert p_value > 0.001
-
-
-def test_extended_text_round_trip():
-    ect = ExtendedCiphertext(11, 22, 33)
-    assert format_extended(ect) == "11,22,33"
-    assert parse_extended("11,22,33") == ect
