@@ -32,11 +32,12 @@ class ZeroEncodingError(ValueError):
 class CodecConfig:
     """Group, quantization step and magnitude bound for the codec.
 
-    The bound (value_bound/delta)^2 < p/2 guarantees that the product of
-    two encoded magnitudes stays inside the symmetric range of Z_p, so
-    products never wrap.  value_bound/delta < 2^53 keeps every integer
-    round(x/delta) can reach representable as a float, so quantization
-    never silently skips levels.
+    The bound (value_bound/delta)^2 < p/2 keeps the product of two
+    rounded levels inside the symmetric range of Z_p; ``encode`` checks
+    the same bound on the level after the nearest-member shift, so
+    products of accepted encodings never wrap.  value_bound/delta < 2^53
+    keeps every integer round(x/delta) can reach representable as a
+    float, so quantization never silently skips levels.
     """
 
     params: GroupParams
@@ -53,7 +54,9 @@ class CodecConfig:
                 "value_bound/delta must stay below 2^53, the float precision "
                 "of round(x/delta); coarsen delta"
             )
-        if (self.value_bound / self.delta) ** 2 >= self.params.p / 2:
+        # float-int comparison is exact at any size of p; p / 2 overflows
+        # a float above 1024 bits
+        if 2 * (self.value_bound / self.delta) ** 2 >= self.params.p:
             raise ValueError(
                 "(value_bound/delta)^2 must stay below p/2; "
                 "use a larger group or coarser delta"
@@ -61,13 +64,27 @@ class CodecConfig:
 
 
 def encode(x: float, cfg: CodecConfig) -> int:
-    """Quantize x and return the nearest subgroup member of its residue."""
+    """Quantize x and return the nearest subgroup member of its residue.
+
+    The projection can move the level z past value_bound/delta, so the
+    shifted level z' is checked as well: z'^2 < p/2 keeps the product of
+    any two accepted encodings inside the symmetric range, and a value
+    whose z' breaks it raises ValueError.
+    """
     if abs(x) > cfg.value_bound:
         raise ValueError(f"|{x}| exceeds value_bound {cfg.value_bound}")
     z = round(x / cfg.delta)
     if z == 0:
         raise ZeroEncodingError(f"{x} quantizes to zero at delta={cfg.delta}")
-    return nearest_member(cfg.params, z % cfg.params.p)
+    p = cfg.params.p
+    m = nearest_member(cfg.params, z % p)
+    shifted = m if m <= (p - 1) // 2 else m - p
+    if 2 * shifted * shifted >= p:
+        raise ValueError(
+            f"{x} encodes at level {shifted}, whose square reaches p/2: "
+            "products would wrap; use a larger group or coarser delta"
+        )
+    return m
 
 
 def decode(m: int, cfg: CodecConfig, power: int = 1) -> float:

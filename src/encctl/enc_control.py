@@ -6,12 +6,17 @@ evaluation.  Keys rotate every step on the plant side, and the rotation
 token never appears in the controller interface: ``encrypted_controller``
 takes only a public key and ciphertexts.
 
-Cost: the server replies with alpha x beta integers, the products of
-second components; the plant holds every first component it sent and
-strips the masks by position, alpha*beta gain masks once per run and beta
-state masks per step.  With encryption a step costs 2*beta +
-2*alpha*beta/T modexps and moves 2*beta + alpha*beta group elements; at
-the designed 712 bits on the builtin ``pow`` a 4x4 step takes about 24 ms.
+Cost: the plant holds each epoch's secret and draws each randomness
+exponent itself, so it encrypts with two powers of the fixed generator
+(``modgroup.g_pow``) and computes each mask from its own plaintext with
+one modular inverse.  The server replies with alpha x beta integers, the
+products of second components; the plant holds every first component it
+sent and strips the masks by position, alpha*beta gain masks once per
+run and beta state masks per step.  A step costs no variable-base
+exponentiation, 2*beta + 2*alpha*beta/T table powers plus one for the
+key rotation, and beta + alpha*beta/T inverses, and moves 2*beta +
+alpha*beta group elements; at the designed 712 bits on the builtin
+``pow`` a 4x4 step takes about 4 ms.
 
 A plaintext twin (``run_plain_loop``) consumes the identical noise stream
 so encrypted-versus-plain deviations isolate quantization effects.
@@ -26,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CodecConfig, decode, encode, sum_rows
-from .elgamal import Ciphertext, PublicKey, encrypt, mask
+from .elgamal import Ciphertext, PublicKey, SecretKey, _pick_r
+from .modgroup import GroupParams, g_pow, inverse
 from .security_design import spectral_radius
 from .updatable import initial_epoch, key_update
 
@@ -152,16 +158,39 @@ def encode_vector(v: np.ndarray, cfg: CodecConfig) -> list[int]:
     return [encode(cfg.delta if abs(x / cfg.delta) <= 0.5 else x, cfg) for x in map(float, v)]
 
 
-def encrypt_vector(pk: PublicKey, plaintexts: list[int], rng: random.Random) -> list[Ciphertext]:
-    """Encrypt already-encoded plaintexts, each with fresh randomness."""
-    return [encrypt(pk, m, rng) for m in plaintexts]
+def encrypt_vector(sk: SecretKey, plaintexts: list[int], rng: random.Random) -> list[Ciphertext]:
+    """Encrypt already-encoded plaintexts under the epoch whose secret the
+    plant holds, each with fresh randomness.
+
+    The ciphertexts are those of ``elgamal.encrypt(pk, m, rng)`` from the
+    same draws, but h^r = g^(s*r) comes from the generator's table, so no
+    variable-base exponentiation is made.  The plaintexts come from
+    ``encode_vector`` and are members by construction, so they are not
+    re-tested.
+    """
+    params, p = sk.params, sk.params.p
+    cts = []
+    for m in plaintexts:
+        r = _pick_r(params, rng, None, "encrypt_vector")
+        cts.append(Ciphertext(g_pow(params, r), m * g_pow(params, sk.s * r) % p))
+    return cts
 
 
 def encrypt_matrix(
-    pk: PublicKey, M: np.ndarray, cfg: CodecConfig, rng: random.Random
+    sk: SecretKey, codes: list[list[int]], rng: random.Random
 ) -> list[list[Ciphertext]]:
-    """Encode and encrypt a matrix row by row."""
-    return [encrypt_vector(pk, encode_vector(row, cfg), rng) for row in np.atleast_2d(M)]
+    """Encrypt a matrix already encoded row by row with ``encode_vector``."""
+    return [encrypt_vector(sk, row, rng) for row in codes]
+
+
+def own_masks(params: GroupParams, plaintexts: list[int], cts: list[Ciphertext]) -> list[int]:
+    """``elgamal.mask(sk, ct.c1)`` of each ciphertext the plant encrypted
+    itself, from its plaintext instead of the secret.
+
+    Since c2 = m*g^(s*r), c1^(-s) = g^(-s*r) = m * c2^(-1) mod p: one
+    modular inverse each, where ``mask`` needs an exponentiation.
+    """
+    return [m * inverse(params, ct.c2) % params.p for m, ct in zip(plaintexts, cts, strict=True)]
 
 
 def encrypted_controller(
@@ -189,7 +218,8 @@ def decrypt_controller_output(
     delta^2, and sum rows.
 
     masks0[i][j] is ``mask(sk0, ct_phi0[i][j].c1)`` and masks_t[j] is
-    ``mask(sk_t, ct_xi[j].c1)``.  A reply of another shape is rejected.
+    ``mask(sk_t, ct_xi[j].c1)``, as ``own_masks`` computes them.  A reply
+    of another shape is rejected.
     """
     p = cfg.params.p
     plain = [
@@ -223,19 +253,22 @@ def run_encrypted_loop(
     """Drive the plant through the encrypted controller for T steps.
 
     Each step encodes the state once, encrypts it under the current
-    epoch, evaluates the encrypted controller against the epoch-0 gain
-    ciphertexts, strips both epochs' masks from the reply, steps the
-    plant, and rotates the keys.  The gain is encrypted exactly once and
-    its epoch-0 masks are computed once; no ciphertext is ever re-keyed
-    and no token leaves this function.
+    epoch's secret, evaluates the encrypted controller against the
+    epoch-0 gain ciphertexts, strips both epochs' masks from the reply,
+    steps the plant, and rotates the keys.  The gain is encrypted exactly
+    once and its epoch-0 masks are computed once; every mask comes from
+    the plant's own plaintext, no ciphertext is ever re-keyed and no
+    token leaves this function.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     if controller.beta != model.n or controller.alpha != model.m:
         raise ValueError("controller shape must be (m, n) for this plant")
-    epoch0 = initial_epoch(cfg.params, key_rng)
-    ct_phi0 = encrypt_matrix(epoch0.pk, controller.Phi, cfg, key_rng)
-    masks0 = [[mask(epoch0.sk, ct.c1) for ct in row] for row in ct_phi0]
+    params = cfg.params
+    epoch0 = initial_epoch(params, key_rng)
+    codes0 = [encode_vector(row, cfg) for row in controller.Phi]
+    ct_phi0 = encrypt_matrix(epoch0.sk, codes0, key_rng)
+    masks0 = [own_masks(params, row, cts) for row, cts in zip(codes0, ct_phi0)]
     epoch = epoch0
 
     x = _draw_initial_state(model, noise_rng, x0)
@@ -249,9 +282,9 @@ def run_encrypted_loop(
         except ValueError as exc:
             raise ValueError(f"encoding failed at step {t}: {exc}") from exc
         x_quant = np.array([decode(m, cfg) for m in xi])
-        ct_xi = encrypt_vector(epoch.pk, xi, key_rng)
+        ct_xi = encrypt_vector(epoch.sk, xi, key_rng)
         reply = encrypted_controller(epoch0.pk, ct_phi0, ct_xi)
-        masks_t = [mask(epoch.sk, ct.c1) for ct in ct_xi]
+        masks_t = own_masks(params, xi, ct_xi)
         u = decrypt_controller_output(masks0, masks_t, reply, cfg)
         u_ref = controller.Phi @ x_quant
         states[t] = x

@@ -21,6 +21,12 @@ budgets hold on pure ``pow``:
   equals Euler's criterion a^q = 1 for prime p.  Every other group keeps
   the a^q test.
 
+``inverse`` is the extended-Euclid a^(-1) mod p, about 20x cheaper than
+an exponentiation at 712 bits.  With ``g_pow`` it carries the whole
+encrypted control loop: the plant knows each epoch's secret s and draws
+each r, so h^r = g^(s*r) is a table power and each mask is one inverse,
+and the loop makes no variable-base exponentiation.
+
 Not hardened against side channels; intended for simulation and analysis.
 """
 
@@ -199,6 +205,12 @@ def g_pow(params: GroupParams, e: int) -> int:
             acc = acc * row[digit] % p
         e >>= FIXED_BASE_WINDOW
     return acc
+
+
+def inverse(params: GroupParams, a: int) -> int:
+    """a^(-1) mod p by the extended Euclidean algorithm; ValueError for a
+    multiple of p."""
+    return pow(a, -1, params.p)
 
 
 def _jacobi(a: int, n: int) -> int:

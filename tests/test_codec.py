@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from encctl.codec import CodecConfig, ZeroEncodingError, decode, encode, sum_rows
-from encctl.modgroup import nearest_member
+from encctl.modgroup import GroupParams, nearest_member
 from conftest import LAW
 
 
@@ -39,6 +40,14 @@ def test_config_rejects_levels_beyond_float_precision(group712):
         CodecConfig(group712, delta=1e-10, value_bound=1e7)
 
 
+def test_config_bound_on_groups_beyond_float_range():
+    # p / 2 does not fit a float above 1024 bits.  The constructor checks
+    # only p = 2q + 1 and g^q = 1, which (p - 1)^q meets for even q.
+    q = 2**1100
+    wide = GroupParams(p=2 * q + 1, q=q, g=2 * q)
+    assert CodecConfig(wide, delta=1e-4, value_bound=1e3).params is wide
+
+
 def test_quantize_wrap_project_pipeline(toy_group):
     # encode is round -> wrap mod p -> nearest member; spot-check the
     # mapping on the toy group, where members are enumerable by hand
@@ -50,8 +59,20 @@ def test_quantize_wrap_project_pipeline(toy_group):
 
 def test_encode_examples_in_bound(toy_cfg):
     assert encode(0.02, toy_cfg) == 2
-    assert encode(-0.02, toy_cfg) == 18  # z = -2 -> 21, nearest member 18
     assert encode(0.03, toy_cfg) == 3
+    # z = -2 -> 21, nearest member 18 = level -5, and 25 >= 23/2
+    with pytest.raises(ValueError, match="wrap"):
+        encode(-0.02, toy_cfg)
+
+
+def test_encode_rejects_shift_past_wrap_bound(toy_cfg):
+    # the config bounds the rounded level, (0.03/0.01)^2 = 9 < 11.5, but the
+    # nearest member of z = -3 is 18, level -5: its square 18*18 = 2 mod 23
+    # would decode as 0.0002 instead of 0.0025
+    assert nearest_member(toy_cfg.params, -3 % 23) == 18
+    assert decode(18 * 18 % 23, toy_cfg, power=2) != pytest.approx(0.0025)
+    with pytest.raises(ValueError, match="level -5"):
+        encode(-0.03, toy_cfg)
 
 
 def test_encode_end_to_end_matches_pipeline(cfg64):
@@ -143,17 +164,23 @@ def test_codec_laws(law_group, t1, t2):
             with pytest.raises(ZeroEncodingError):
                 encode(x, cfg)
             return
-        m = encode(x, cfg)
+        try:
+            m = encode(x, cfg)
+        except ValueError:
+            # rejected only when the shifted level's square reaches p/2
+            shifted = nearest_member(law_group, z % p)
+            shifted = shifted if shifted <= (p - 1) // 2 else shifted - p
+            assert 2 * shifted**2 >= p
+            return
         # rounding costs at most delta/2, and the projection onto the
         # nearest member moves the level by exactly m - z mod p
         assert abs(z * cfg.delta - x) <= cfg.delta / 2 + slack
         assert decode(m, cfg) == (z + m - z % p) * cfg.delta
         assert (decode(m, cfg) > 0) == (x > 0)
         encoded.append(m)
-    # a product decodes at delta^2 while it stays inside the symmetric range
-    m1, m2 = encoded
-    z1, z2 = (m if m <= (p - 1) // 2 else m - p for m in encoded)
-    if abs(z1 * z2) <= (p - 1) // 2:
+    # every product of accepted encodings, squares included, decodes at delta^2
+    levels = [m if m <= (p - 1) // 2 else m - p for m in encoded]
+    for (m1, z1), (m2, z2) in itertools.combinations_with_replacement(zip(encoded, levels), 2):
         assert decode(m1 * m2 % p, cfg, power=2) == z1 * z2 * cfg.delta**2
 
 

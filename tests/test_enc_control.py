@@ -3,11 +3,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from encctl import enc_control
 from encctl.codec import CodecConfig, decode, encode, sum_rows
-from encctl.elgamal import encrypt, mask
+from encctl.elgamal import encrypt, keygen, mask
 from encctl.enc_control import (
     ControllerParams,
     PlantModel,
@@ -16,6 +16,7 @@ from encctl.enc_control import (
     encrypt_vector,
     encrypted_controller,
     decrypt_controller_output,
+    own_masks,
     plant_step,
     run_encrypted_loop,
     run_plain_loop,
@@ -27,7 +28,7 @@ from encctl.updatable import (
     initial_epoch,
     key_update,
 )
-from conftest import count_calls
+from conftest import LAW, WIDE, ScriptedRng, count_calls, member
 
 ROOT_HALF = float(np.sqrt(0.5))
 
@@ -84,8 +85,8 @@ def test_encrypted_controller_scalar(cfg64):
     rng = random.Random(5)
     epoch = initial_epoch(cfg64.params, rng)
     phi, xi = 0.25, -0.5
-    ct_phi = encrypt_matrix(epoch.pk, np.array([[phi]]), cfg64, rng)
-    ct_xi = encrypt_vector(epoch.pk, encode_vector(np.array([xi]), cfg64), rng)
+    ct_phi = encrypt_matrix(epoch.sk, encode_rows([[phi]], cfg64), rng)
+    ct_xi = encrypt_vector(epoch.sk, encode_vector(np.array([xi]), cfg64), rng)
     reply = encrypted_controller(epoch.pk, ct_phi, ct_xi)
     assert len(reply) == 1 and len(reply[0]) == 1
     # the reply is the third component of the full cross-epoch product
@@ -99,8 +100,8 @@ def test_encrypted_controller_identity_gain(cfg64):
     rng = random.Random(6)
     epoch = initial_epoch(cfg64.params, rng)
     xi = np.array([1.25, -2.5, 0.75])
-    ct_phi = encrypt_matrix(epoch.pk, np.eye(3), cfg64, rng)
-    ct_xi = encrypt_vector(epoch.pk, encode_vector(xi, cfg64), rng)
+    ct_phi = encrypt_matrix(epoch.sk, encode_rows(np.eye(3), cfg64), rng)
+    ct_xi = encrypt_vector(epoch.sk, encode_vector(xi, cfg64), rng)
     reply = encrypted_controller(epoch.pk, ct_phi, ct_xi)
     out = decrypt_controller_output(
         masks_of(epoch.sk, ct_phi), masks_of(epoch.sk, [ct_xi])[0], reply, cfg64
@@ -113,8 +114,8 @@ def test_encrypted_controller_identity_gain(cfg64):
 def test_encrypted_controller_shape(cfg64):
     rng = random.Random(7)
     epoch = initial_epoch(cfg64.params, rng)
-    ct_phi = encrypt_matrix(epoch.pk, 0.5 * np.ones((2, 2)), cfg64, rng)
-    ct_xi = encrypt_vector(epoch.pk, encode_vector(np.ones(2), cfg64), rng)
+    ct_phi = encrypt_matrix(epoch.sk, encode_rows(0.5 * np.ones((2, 2)), cfg64), rng)
+    ct_xi = encrypt_vector(epoch.sk, encode_vector(np.ones(2), cfg64), rng)
     reply = encrypted_controller(epoch.pk, ct_phi, ct_xi)
     assert len(reply) == 2 and all(len(row) == 2 for row in reply)
     with pytest.raises(ValueError):
@@ -141,12 +142,12 @@ def test_cross_epoch_products_exact(cfg64):
     key_rng = random.Random(8)
     epoch0 = initial_epoch(cfg64.params, key_rng)
     phi = np.array([[0.5, -0.25], [1.5, 2.0]])
-    ct_phi = encrypt_matrix(epoch0.pk, phi, cfg64, key_rng)
+    ct_phi = encrypt_matrix(epoch0.sk, encode_rows(phi, cfg64), key_rng)
     epoch = epoch0
     for _ in range(5):
         epoch, _ = key_update(epoch, key_rng)
     xi = np.array([3.0, -1.0])
-    ct_xi = encrypt_vector(epoch.pk, encode_vector(xi, cfg64), key_rng)
+    ct_xi = encrypt_vector(epoch.sk, encode_vector(xi, cfg64), key_rng)
     reply = encrypted_controller(epoch0.pk, ct_phi, ct_xi)
     p = cfg64.params.p
     for i in range(2):
@@ -250,6 +251,11 @@ def test_trace_csv_schema(tmp_path, cfg64):
     assert float(first[-1]) == trace.errors[0]
 
 
+def encode_rows(M, cfg):
+    """``encode_vector`` of each row of a matrix, as ``encrypt_matrix`` takes it."""
+    return [encode_vector(row, cfg) for row in np.atleast_2d(M)]
+
+
 def masks_of(sk, ct_rows):
     """mask(sk, c1) of every ciphertext of a matrix, by position."""
     return [[mask(sk, ct.c1) for ct in row] for row in ct_rows]
@@ -281,11 +287,11 @@ def test_decrypt_output_matches_cross_decrypt(group64, data, gap, seed):
     cfg = CodecConfig(group64, delta=1e-3, value_bound=1000.0)
     key_rng = random.Random(seed)
     epoch0 = initial_epoch(group64, key_rng)
-    ct_phi = encrypt_matrix(epoch0.pk, gain, cfg, key_rng)
+    ct_phi = encrypt_matrix(epoch0.sk, encode_rows(gain, cfg), key_rng)
     epoch = epoch0
     for _ in range(gap):
         epoch, _ = key_update(epoch, key_rng)
-    ct_xi = encrypt_vector(epoch.pk, encode_vector(state, cfg), key_rng)
+    ct_xi = encrypt_vector(epoch.sk, encode_vector(state, cfg), key_rng)
     reply = encrypted_controller(epoch0.pk, ct_phi, ct_xi)
     got = decrypt_controller_output(
         masks_of(epoch0.sk, ct_phi), masks_of(epoch.sk, [ct_xi])[0], reply, cfg
@@ -339,12 +345,16 @@ def test_encrypted_loop_matches_per_entry_decryption(cfg64):
 
 
 def test_encrypted_loop_modexp_count(monkeypatch, cfg64):
-    # encryption: alpha*beta for the gain, beta per step for the state;
-    # decryption: alpha*beta epoch-0 masks per run, beta masks per step
+    # no variable-base exponentiation: each encryption is two table powers
+    # of the generator (alpha*beta for the gain, beta per step for the
+    # state), each rotation and the epoch-0 key one more, and each mask one
+    # inverse taken from the plant's own plaintext
     model = sec6_plant(sigma_w2=0.01)
     controller = ControllerParams(-0.3 * np.eye(4))
     alpha, beta, T = 4, 4, 5
-    calls = count_calls(monkeypatch, "powmod")
+    powmods = count_calls(monkeypatch, "powmod")
+    table_powers = count_calls(monkeypatch, "g_pow")
+    inverses = count_calls(monkeypatch, "inverse")
     encodes = []
     real_encode = enc_control.encode
 
@@ -357,5 +367,30 @@ def test_encrypted_loop_modexp_count(monkeypatch, cfg64):
         model, controller, cfg64, T=T,
         noise_rng=np.random.default_rng(41), key_rng=random.Random(41),
     )
-    assert len(calls) == 2 * alpha * beta + 2 * beta * T
-    assert len(encodes) == alpha * beta + beta * T  # each value encoded once
+    encryptions = alpha * beta + beta * T
+    assert len(powmods) == 0
+    assert len(table_powers) == 1 + 2 * encryptions + T
+    assert len(inverses) == encryptions
+    assert len(encodes) == encryptions  # each value encoded once
+
+
+@LAW
+@given(s=WIDE, draws=st.lists(st.tuples(WIDE, WIDE), min_size=1, max_size=4))
+@example(s=0, draws=[(0, -1), (-1, -1)])  # members 1 and the largest, r = q-1
+@example(s=-1, draws=[(-1, 0), (0, 0)])  # s = q-1, r = 1
+def test_encrypt_vector_matches_encrypt(law_group, s, draws):
+    # the secret-key path gives the public encrypt's ciphertexts for the
+    # same r, and the plaintext-derived masks are elgamal.mask's
+    params = law_group
+    pk, sk = keygen(params, ScriptedRng(s % params.q))
+    ms = [member(params, u) for u, _ in draws]
+    rs = [1 + v % (params.q - 1) for _, v in draws]  # the range _pick_r draws from
+    rng = ScriptedRng(*rs)
+    cts = encrypt_vector(sk, ms, rng)
+    assert rng.values == []  # one draw per plaintext
+    assert cts == [encrypt(pk, m, r=r) for m, r in zip(ms, rs)]
+    assert own_masks(params, ms, cts) == [mask(sk, ct.c1) for ct in cts]
+    # and from a generator, the same draws as encrypt makes
+    rng, ref_rng = random.Random(s), random.Random(s)
+    assert encrypt_vector(sk, ms, rng) == [encrypt(pk, m, ref_rng) for m in ms]
+    assert rng.getstate() == ref_rng.getstate()
