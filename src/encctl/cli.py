@@ -31,9 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# codec.key_bits value that takes k* from the config's own design
-KEY_BITS_FROM_DESIGN = "design"
-
 
 class ConfigError(Exception):
     """Invalid run configuration; message names the offending field."""
@@ -121,7 +118,7 @@ class AttackBlock:
 class CodecBlock:
     delta: float
     value_bound: float
-    key_bits: int | str  # bits, or KEY_BITS_FROM_DESIGN
+    key_bits: int
 
 
 @dataclass(frozen=True)
@@ -194,42 +191,30 @@ def _parse_requirement(block: dict) -> security_design.SecurityRequirement:
     )
 
 
-def _check_key_bits(key_bits: int, what: str = "") -> None:
+def _parse_codec(block: dict) -> CodecBlock:
+    key_bits = _positive_int(_get(block, "codec", "key_bits"), "codec.key_bits")
     if key_bits < 16:
-        _fail("codec.key_bits", f"{what}must be at least 16")
-
-
-def _check_wrap_safety(codec: CodecBlock, key_bits: int) -> None:
+        _fail("codec.key_bits", "must be at least 16")
+    delta = _positive(_get(block, "codec", "delta"), "codec.delta")
+    value_bound = _positive(_get(block, "codec", "value_bound"), "codec.value_bound")
     # any generated modulus has p >= 2^(key_bits-1), so this guarantees the
     # codec's product wrap-safety condition (value_bound/delta)^2 < p/2.
     # levels*levels goes to inf instead of raising, and comparing it with
     # an int is exact, so neither side overflows at any key length
-    levels = codec.value_bound / codec.delta
+    levels = value_bound / delta
     if levels * levels >= 2 ** (key_bits - 2):
         _fail(
             "codec.value_bound",
             "(value_bound/delta)^2 must stay below 2^(key_bits-2); "
             "raise key_bits or coarsen delta",
         )
-
-
-def _parse_codec(block: dict) -> CodecBlock:
-    key_bits = _get(block, "codec", "key_bits")
-    if key_bits != KEY_BITS_FROM_DESIGN:
-        key_bits = _positive_int(key_bits, "codec.key_bits")
-        _check_key_bits(key_bits)
-    delta = _positive(_get(block, "codec", "delta"), "codec.delta")
-    value_bound = _positive(_get(block, "codec", "value_bound"), "codec.value_bound")
-    codec = CodecBlock(delta=delta, value_bound=value_bound, key_bits=key_bits)
-    if key_bits != KEY_BITS_FROM_DESIGN:
-        _check_wrap_safety(codec, key_bits)
-    if value_bound / delta >= MAX_LEVELS:
+    if levels >= MAX_LEVELS:
         _fail(
             "codec.delta",
             "value_bound/delta must stay below 2^53, the float precision of "
             "quantization; coarsen delta",
         )
-    return codec
+    return CodecBlock(delta=delta, value_bound=value_bound, key_bits=key_bits)
 
 
 def _parse_loop(block: dict, plant: PlantBlock | None) -> LoopBlock:
@@ -350,29 +335,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 # subcommands
 
 
-def _design(cfg: RunConfig) -> security_design.DesignResult:
+def cmd_design(cfg: RunConfig, out: Path) -> int:
+    """Compute (N*, lambda*, k*) and write design.json."""
     req = _require_block(cfg, "requirement")
     plant = _require_block(cfg, "plant")
     pair = _gramian_pair(plant)
-    return security_design.design(plant.m, plant.n, _r_sigma(cfg), pair.Psi_u, pair.Psi_w, req)
-
-
-def _key_bits(cfg: RunConfig, codec: CodecBlock) -> int:
-    """The codec's key length, designed from the config's own plant,
-    attack and requirement when it reads ``design``."""
-    if codec.key_bits != KEY_BITS_FROM_DESIGN:
-        return codec.key_bits
-    if cfg.requirement is None or cfg.attack is None:
-        _fail("codec.key_bits", "'design' needs requirement and attack sections to design k*")
-    k_star = _design(cfg).k_star
-    _check_key_bits(k_star, f"the designed k* = {k_star} ")
-    _check_wrap_safety(codec, k_star)
-    return k_star
-
-
-def cmd_design(cfg: RunConfig, out: Path) -> int:
-    """Compute (N*, lambda*, k*) and write design.json."""
-    result = _design(cfg)
+    result = security_design.design(plant.m, plant.n, _r_sigma(cfg), pair.Psi_u, pair.Psi_w, req)
     print(result.report())
     path = out / "design.json"
     path.write_text(result.to_json() + "\n", encoding="utf-8")
@@ -462,9 +430,8 @@ def cmd_loop_demo(cfg: RunConfig, out: Path, seed: int) -> int:
     model = _plant_model(plant)
     controller = enc_control.ControllerParams(loop.phi)
 
-    key_bits = _key_bits(cfg, codec_block)
     key_rng = random.Random(seed)
-    params = generate_group_params(key_bits, key_rng)
+    params = generate_group_params(codec_block.key_bits, key_rng)
     codec_cfg = CodecConfig(params, codec_block.delta, codec_block.value_bound)
 
     enc_trace = enc_control.run_encrypted_loop(
@@ -492,7 +459,7 @@ def cmd_loop_demo(cfg: RunConfig, out: Path, seed: int) -> int:
     enc_trace.write_csv(trace_path)
     report = {
         "steps": loop.T,
-        "key_bits": key_bits,
+        "key_bits": codec_block.key_bits,
         "delta": codec_block.delta,
         "max_deviation_vs_plain": max_dev,
         "max_decode_error": enc_trace.max_error,
@@ -500,7 +467,7 @@ def cmd_loop_demo(cfg: RunConfig, out: Path, seed: int) -> int:
         "token_free_server_interface": token_free,
         "token_would_reveal_next_key": recovered_all,
     }
-    print(f"encrypted loop: {loop.T} steps on a {key_bits}-bit group")
+    print(f"encrypted loop: {loop.T} steps on a {codec_block.key_bits}-bit group")
     print(f"max |u_enc - u_plain| = {max_dev:.3e} (delta = {codec_block.delta:g})")
     print(f"server interface parameters: {sorted(server_params)} (token-free: {token_free})")
     print(f"update token recovers next secret key when held: {recovered_all} "

@@ -303,57 +303,6 @@ def test_loop_demo_smoke(tmp_path, capsys):
     assert len(trace_lines) == 2  # header + one step
 
 
-SMALL_REQUIREMENT = """\
-requirement:
-  gamma_c: 1.0e-3
-  tau_c: 1.0
-  upsilon: 1.0e+9
-"""
-
-DESIGNED_LOOP = """\
-codec:
-  delta: 1.0e-2
-  value_bound: 10.0
-  key_bits: design
-loop:
-  T: 1
-  phi: -0.3
-"""
-
-DESIGNED_LOOP_SIM = SIM_CONFIG.replace("sigma_u2: 1.0", "r_sigma: 100")
-
-
-def test_loop_demo_key_bits_from_design(tmp_path, capsys):
-    path = write(tmp_path, DESIGNED_LOOP_SIM + SMALL_REQUIREMENT + DESIGNED_LOOP)
-    assert main(["design", "--config", str(path), "--out", str(tmp_path)]) == 0
-    k_star = json.loads((tmp_path / "design.json").read_text())["k_star"]
-    assert k_star == 82
-    assert main(["loop-demo", "--config", str(path), "--out", str(tmp_path)]) == 0
-    assert f"1 steps on a {k_star}-bit group" in capsys.readouterr().out
-    assert json.loads((tmp_path / "loop_report.json").read_text())["key_bits"] == k_star
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        pytest.param(
-            DESIGNED_LOOP_SIM + DESIGNED_LOOP, "needs requirement and attack", id="no-requirement"
-        ),
-        pytest.param(
-            DESIGNED_LOOP_SIM + SMALL_REQUIREMENT.replace("1.0e+9", "1.0") + DESIGNED_LOOP,
-            "k* = 2 must be at least 16",
-            id="k-below-16",
-        ),
-    ],
-)
-def test_loop_demo_key_bits_design_is_config_error(tmp_path, capsys, text, message):
-    path = write(tmp_path, text)
-    assert main(["loop-demo", "--config", str(path), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "codec.key_bits" in err and message in err
-    assert not (tmp_path / "loop_report.json").exists()
-
-
 @pytest.mark.parametrize(
     "command, path, value",
     [
