@@ -31,6 +31,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# the largest codec.key_bits a config may ask for: above the paper's
+# k* = 712 with room to spare, and small enough that the safe-prime search
+# in loop-demo ends (on pure-Python pow it takes about 15 s at 1,030 bits)
+MAX_KEY_BITS = 2048
+
+# libyaml scans and parses when PyYAML was built with it; the resolver and
+# constructor stay SafeLoader's, so a document yields the same objects
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(Exception):
     """Invalid run configuration; message names the offending field."""
@@ -193,8 +202,8 @@ def _parse_requirement(block: dict) -> security_design.SecurityRequirement:
 
 def _parse_codec(block: dict) -> CodecBlock:
     key_bits = _positive_int(_get(block, "codec", "key_bits"), "codec.key_bits")
-    if key_bits < 16:
-        _fail("codec.key_bits", "must be at least 16")
+    if not 16 <= key_bits <= MAX_KEY_BITS:
+        _fail("codec.key_bits", f"must be between 16 and {MAX_KEY_BITS}, got {key_bits}")
     delta = _positive(_get(block, "codec", "delta"), "codec.delta")
     value_bound = _positive(_get(block, "codec", "value_bound"), "codec.value_bound")
     # any generated modulus has p >= 2^(key_bits-1), so this guarantees the
@@ -249,7 +258,7 @@ def parse_config(doc: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:
@@ -269,7 +278,7 @@ def load_preset(name: str) -> RunConfig:
     candidate = root / f"{name}.yaml"
     if not candidate.is_file():
         raise ConfigError(f"config: unknown preset {name!r}; available: {preset_names()}")
-    return parse_config(yaml.safe_load(candidate.read_text(encoding="utf-8")))
+    return parse_config(yaml.load(candidate.read_text(encoding="utf-8"), Loader=_YAML_LOADER))
 
 
 # ---------------------------------------------------------------------------

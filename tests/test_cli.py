@@ -1,11 +1,13 @@
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from encctl import cli
 from encctl.cli import (
     ConfigError,
     load_preset,
@@ -129,6 +131,13 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     code = main(["design", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert "plant.sigma_w2" in capsys.readouterr().err
+
+
+def test_invalid_yaml_exits_2_naming_the_file(tmp_path, capsys):
+    path = write(tmp_path, "plant: [1, 2\n", name="broken.yaml")
+    assert main(["design", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config: invalid YAML in {path}: " in err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -289,6 +298,24 @@ def test_codec_bounds_beyond_float_range(tmp_path, capsys):
     assert "codec.value_bound" in capsys.readouterr().err
 
 
+def test_key_bits_above_the_limit_is_config_error(tmp_path, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("safe-prime search started")
+
+    monkeypatch.setattr(cli, "generate_group_params", no_search)
+    path = write(tmp_path, LOOP_CONFIG.replace("key_bits: 32", "key_bits: 439242"))
+    assert main(["loop-demo", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "error: codec.key_bits: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["design", "complexity-curve"])
+def test_plant_just_below_instability_is_designed(tmp_path, capsys, command):
+    # the parser accepts rho < 1, and so must the Gramian solver
+    path = write(tmp_path, DESIGN_CONFIG.replace("A: 0.5", "A: 0.9999999999"))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_loop_demo_smoke(tmp_path, capsys):
     path = write(tmp_path, LOOP_CONFIG)
     code = main(["loop-demo", "--config", str(path), "--out", str(tmp_path), "--seed", "3"])
@@ -432,3 +459,20 @@ def test_config_fuzz_exits_cleanly(fuzz_dir, command):
         assert main([command, "--config", str(path), "--out", str(fuzz_dir)]) in (0, 2, 3)
 
     run()
+
+
+def _same_objects(text):
+    # repr tells 1 from 1.0 and True, and nan equals itself there
+    assert repr(yaml.load(text, Loader=cli._YAML_LOADER)) == repr(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_loader_matches_safe_load_on_presets(name):
+    preset = resources.files("encctl") / "presets" / f"{name}.yaml"
+    _same_objects(preset.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=st.sampled_from(sorted(NEEDS)).flatmap(documents))
+def test_loader_matches_safe_load_on_fuzz_documents(doc):
+    _same_objects(yaml.safe_dump(doc))

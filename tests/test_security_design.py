@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, strategies as st
 
+from conftest import LAW
+
+from encctl import security_design
 from encctl.security_design import (
     DesignResult,
     GramianPair,
@@ -80,14 +85,75 @@ def test_lyapunov_rejects_unstable():
         solve_discrete_lyapunov(np.eye(2), np.eye(2))
 
 
+def test_lyapunov_just_below_the_threshold():
+    # the solver accepts every rho < 1, as the config parser does
+    for rho in (0.9999999999, 1 - 1e-15):
+        A = rho * np.eye(2)
+        psi = solve_discrete_lyapunov(A, np.eye(2))
+        assert np.linalg.norm(A @ psi @ A.T - psi + np.eye(2)) <= 1e-14 * np.linalg.norm(psi)
+
+
+def test_lyapunov_unconverged_doubling_is_linalg_error(monkeypatch):
+    # rho = 0.9 needs 9 rounds to reach its fixed point
+    monkeypatch.setattr(security_design, "MAX_DOUBLING_ROUNDS", 8)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge in 8 rounds"):
+        solve_discrete_lyapunov(0.9 * np.eye(2), np.eye(2))
+    monkeypatch.setattr(security_design, "MAX_DOUBLING_ROUNDS", 9)
+    assert solve_discrete_lyapunov(0.9 * np.eye(2), np.eye(2))[0, 0] == pytest.approx(1 / 0.19)
+
+
 def test_lyapunov_rejects_asymmetric_q():
     with pytest.raises(ValueError):
         solve_discrete_lyapunov(0.5 * np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_lyapunov_dimension_cap():
-    with pytest.raises(ValueError):
-        solve_discrete_lyapunov(0.1 * np.eye(51), np.eye(51))
+@pytest.mark.parametrize("n", [64, 128])
+def test_lyapunov_large_dimension(n):
+    rng = np.random.default_rng(n)
+    A = random_stable(rng, n, rho_max=0.99)
+    B = rng.normal(size=(n, 4))
+    for Q in (B @ B.T, np.eye(n)):
+        psi = solve_discrete_lyapunov(A, Q)
+        assert np.linalg.norm(A @ psi @ A.T - psi + Q) <= 1e-12 * np.linalg.norm(psi)
+
+
+@st.composite
+def stable_plants(draw):
+    """(A, B) with n <= 12 and rho(A) <= 0.99: a dense A scaled to rho, or
+    a strongly non-normal upper-triangular A, its eigenvalues on the
+    diagonal (all equal to rho in the repeated kind) and off-diagonal
+    entries up to 10 in magnitude."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rho = draw(st.floats(0.0, 0.99))
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)
+    M = np.array(draw(entries)).reshape(n, n)
+    kind = draw(st.sampled_from(["dense", "triangular", "repeated"]))
+    if kind == "dense":
+        A = M * (rho / max(spectral_radius(M), 1.0))
+    else:
+        A = draw(st.floats(1.0, 10.0)) * np.triu(M, 1)
+        eigs = st.floats(-rho, rho)
+        A[np.diag_indices(n)] = rho if kind == "repeated" else draw(
+            st.lists(eigs, min_size=n, max_size=n)
+        )
+    B = 2 * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * m, max_size=n * m)))
+    return A, B.reshape(n, m)
+
+
+@LAW
+@given(plant=stable_plants())
+def test_gramians_of_non_normal_plants(plant):
+    A, B = plant
+    pair = gramians(A, B)
+    # ||Psi_w|| bounds the inverse of X -> X - A X A^T, so it sets how
+    # far any two backward-stable solvers may drift apart
+    well_conditioned = np.linalg.norm(pair.Psi_w, 2) <= 1e4
+    for psi, Q in ((pair.Psi_u, B @ B.T), (pair.Psi_w, np.eye(len(A)))):
+        assert np.linalg.norm(A @ psi @ A.T - psi + Q) <= 1e-12 * np.linalg.norm(psi)
+        assert np.linalg.norm(psi - psi.T) <= 1e-12 * np.linalg.norm(psi)
+        if well_conditioned:
+            ref = scipy.linalg.solve_discrete_lyapunov(A, Q)
+            assert np.linalg.norm(psi - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_gramians_of_reference_plant():
