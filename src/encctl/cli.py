@@ -296,7 +296,7 @@ def _gramian_pair(plant: PlantBlock) -> security_design.GramianPair:
     """Explicit Gramian targets win over values derived from (A, B)."""
     if plant.psi_u is not None and plant.psi_w is not None:
         return security_design.GramianPair(plant.psi_u, plant.psi_w)
-    pair = security_design.gramians(plant.A, plant.B)
+    pair = security_design._gramians(plant.A, plant.B)  # _parse_plant checked rho < 1
     return security_design.GramianPair(
         plant.psi_u if plant.psi_u is not None else pair.Psi_u,
         plant.psi_w if plant.psi_w is not None else pair.Psi_w,

@@ -8,15 +8,18 @@ takes only a public key and ciphertexts.
 
 Cost: the plant holds each epoch's secret and draws each randomness
 exponent itself, so it encrypts with two powers of the fixed generator
-(``modgroup.g_pow``) and computes each mask from its own plaintext with
-one modular inverse.  The server replies with alpha x beta integers, the
-products of second components; the plant holds every first component it
-sent and strips the masks by position, alpha*beta gain masks once per
-run and beta state masks per step.  A step costs no variable-base
-exponentiation, 2*beta + 2*alpha*beta/T table powers plus one for the
-key rotation, and beta + alpha*beta/T inverses, and moves 2*beta +
-alpha*beta group elements; at the designed 712 bits on the builtin
-``pow`` a 4x4 step takes about 4 ms.
+(``modgroup.g_pow``) and computes each mask from its own plaintext and
+the inverse of its ciphertext's second component, all of one vector's
+inverses from one ``modgroup.inverses`` batch.  The server replies with
+alpha x beta integers, the products of second components; the plant
+holds every first component it sent and strips the masks by position,
+alpha*beta gain masks once per run and beta state masks per step.  A
+step costs no variable-base exponentiation, 2*beta + 2*alpha*beta/T
+table powers plus one for the key rotation, and 1 + alpha/T
+extended-Euclid inverses, and moves 2*beta + alpha*beta group elements.
+At the designed 712 bits on the builtin ``pow`` a 4x4 step at T = 10
+takes about 4.2 ms (the benchmark's loop_k712 on one core of a 2-vCPU
+Xeon VM, Python 3.11).
 
 A plaintext twin (``run_plain_loop``) consumes the identical noise stream
 so encrypted-versus-plain deviations isolate quantization effects.
@@ -32,7 +35,7 @@ import numpy as np
 
 from .codec import CodecConfig, decode, encode, sum_rows
 from .elgamal import Ciphertext, PublicKey, SecretKey, _pick_r
-from .modgroup import GroupParams, g_pow, inverse
+from .modgroup import GroupParams, g_pow, inverses
 from .security_design import spectral_radius
 from .updatable import initial_epoch, key_update
 
@@ -187,10 +190,13 @@ def own_masks(params: GroupParams, plaintexts: list[int], cts: list[Ciphertext])
     """``elgamal.mask(sk, ct.c1)`` of each ciphertext the plant encrypted
     itself, from its plaintext instead of the secret.
 
-    Since c2 = m*g^(s*r), c1^(-s) = g^(-s*r) = m * c2^(-1) mod p: one
-    modular inverse each, where ``mask`` needs an exponentiation.
+    Since c2 = m*g^(s*r), c1^(-s) = g^(-s*r) = m * c2^(-1) mod p: the
+    inverses of all second components come from one modular inverse
+    (``modgroup.inverses``), where ``mask`` needs an exponentiation each.
     """
-    return [m * inverse(params, ct.c2) % params.p for m, ct in zip(plaintexts, cts, strict=True)]
+    p = params.p
+    c2_inverses = inverses(params, [ct.c2 for ct in cts])
+    return [m * c2_inv % p for m, c2_inv in zip(plaintexts, c2_inverses, strict=True)]
 
 
 def encrypted_controller(

@@ -6,26 +6,34 @@ generates such groups, tests membership, and finds the subgroup member
 closest to a target integer, which the fixed-point codec relies on.
 
 The big-int backend is ``gmpy2.powmod`` when gmpy2 is installed and the
-builtin ``pow`` otherwise (``BACKEND`` names it).  Two cheaper paths
-replace the generic exponentiation on either backend, so the acceptance
-budgets hold on pure ``pow``:
+builtin ``pow`` otherwise (``BACKEND`` names it).  Cheaper paths replace
+the generic exponentiation on either backend, so the acceptance budgets
+hold on pure ``pow``:
 
-* ``g_pow`` raises the fixed generator through a windowed table built
-  once per group (Brickell-Gordon-McCurley-Wilson; HAC 14.6.3).  With
-  6-bit windows a 712-bit group's table holds 119 x 64 residues, about
-  0.9 MiB built in under 0.1 s, and ``g^e`` costs at most 119 modular
-  products, about 7x less than ``pow``.  The last four tables used stay
-  cached, so memory is bounded however many groups a process makes.
+* ``g_pow`` raises the fixed generator through a Lim-Lee comb built once
+  per group (Lim & Lee, CRYPTO '94; HAC Alg. 14.113).  The exponent's
+  bits are laid out in COMB_ROWS = 11 rows, and the comb's columns are
+  split into COMB_TABLES = 4 blocks, one table of 2^11 residues each.  A
+  712-bit group's tables hold 4 x 2048 residues, about 1.0 MiB built in
+  under 0.1 s, and ``g^e`` costs 16 squarings and at most 65 modular
+  products, where ``pow`` needs about 850.  Small groups build only the
+  tables whose columns exist.  The last four groups' tables stay cached,
+  so memory is bounded however many groups a process makes.
+* ``powmod2`` computes a^x * b^y as one exponentiation chain that reads
+  both exponents' 2-bit windows together (Shamir's trick; HAC Alg.
+  14.88), about two thirds of the cost of two ``pow`` calls.  Under
+  gmpy2 it is two GMP calls, which a Python-level chain cannot beat.
 * ``is_member`` on a group from ``generate_group_params`` (cofactor 2,
   p and q Miller-Rabin tested) is the Legendre symbol (a|p) = 1, which
   equals Euler's criterion a^q = 1 for prime p.  Every other group keeps
   the a^q test.
 
 ``inverse`` is the extended-Euclid a^(-1) mod p, about 20x cheaper than
-an exponentiation at 712 bits.  With ``g_pow`` it carries the whole
-encrypted control loop: the plant knows each epoch's secret s and draws
-each r, so h^r = g^(s*r) is a table power and each mask is one inverse,
-and the loop makes no variable-base exponentiation.
+an exponentiation at 712 bits, and ``inverses`` takes k of them with one
+inverse and 3(k-1) products (Montgomery's trick).  With ``g_pow`` they
+carry the whole encrypted control loop: the plant knows each epoch's
+secret s and draws each r, so h^r = g^(s*r) is a table power and each
+mask is an inverse, and the loop makes no variable-base exponentiation.
 
 Not hardened against side channels; intended for simulation and analysis.
 """
@@ -35,6 +43,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 try:
     from gmpy2 import powmod as _gmp_powmod
@@ -43,18 +52,52 @@ try:
         """Modular exponentiation, GMP-backed when gmpy2 is installed."""
         return int(_gmp_powmod(base, exp, mod))
 
+    def powmod2(a: int, x: int, b: int, y: int, mod: int) -> int:
+        """a^x * b^y mod ``mod`` as two GMP exponentiations."""
+        return int(_gmp_powmod(a, x, mod)) * int(_gmp_powmod(b, y, mod)) % mod
+
     BACKEND = "gmpy2"
 
 except ImportError:
     powmod = pow
     BACKEND = "pow"
 
+    def powmod2(a: int, x: int, b: int, y: int, mod: int) -> int:
+        """a^x * b^y mod ``mod`` for x, y >= 0, equal to
+        ``pow(a, x, mod) * pow(b, y, mod) % mod``.
+
+        One chain over both exponents (Shamir's trick, HAC Alg. 14.88):
+        each step squares twice and multiplies by a^i * b^j for the
+        exponents' next 2-bit digits i and j, read from a 16-entry table.
+        """
+        if x < 0 or y < 0:
+            raise ValueError("exponents must be nonnegative")
+        a, b = a % mod, b % mod
+        row = [1, b, b * b % mod]
+        row.append(row[2] * b % mod)
+        table = list(row)  # table[4*i + j] = a^i * b^j
+        for _ in range(3):
+            row = [v * a % mod for v in row]
+            table += row
+        width = max(x.bit_length(), y.bit_length())
+        width += width & 1
+        x_bits, y_bits = format(x, f"0{width}b"), format(y, f"0{width}b")
+        acc = 1
+        for i in range(0, width, 2):
+            acc = acc * acc % mod
+            acc = acc * acc % mod
+            k = int(x_bits[i : i + 2] + y_bits[i : i + 2], 2)
+            if k:
+                acc = acc * table[k] % mod
+        return acc
+
 MILLER_RABIN_ROUNDS = 40  # error probability < 4^-40 < 2^-80
 
 _SIEVE_BOUND = 2000
 
-FIXED_BASE_WINDOW = 6  # exponent bits per row of the generator's table
-_TABLE_CACHE_SIZE = 4  # generator tables kept alive at once
+COMB_ROWS = 11  # exponent bits combined into one index of the generator's comb
+COMB_TABLES = 4  # comb tables, 2^COMB_ROWS residues each
+_TABLE_CACHE_SIZE = 4  # groups whose comb tables stay alive at once
 
 # Instance attribute set by generate_group_params only: p and q passed
 # Miller-Rabin, so membership may use the Legendre symbol.  It is not a
@@ -170,40 +213,63 @@ def generate_group_params(
             return params
 
 
+class _Comb(NamedTuple):
+    schedule: tuple  # per squaring: the (table, start of its index slice) pairs
+    columns: int  # bits between the exponent bits of one index
+    bits_format: str  # the exponent as a zero-padded bit string of rows*columns
+
+
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _generator_table(params: GroupParams) -> tuple[tuple[int, ...], ...]:
-    """Row i holds g^(j * 2^(w*i)) mod p for j = 0 .. 2^w - 1, enough rows
-    to cover every exponent below q."""
-    p, w = params.p, FIXED_BASE_WINDOW
-    rows = []
-    base = params.g
-    for _ in range(-(-params.q.bit_length() // w)):
-        row = [1, base]
-        for _ in range(2, 1 << w):
-            row.append(row[-1] * base % p)
-        rows.append(tuple(row))
-        base = row[-1] * base % p  # g^(2^(w*(i+1)))
-    return tuple(rows)
+def _comb(params: GroupParams) -> _Comb:
+    """The generator's Lim-Lee comb: an exponent below q is laid out in
+    ``rows`` rows of ``columns`` bits, and the columns in blocks of
+    ``block``.  Table j holds, at index i, the product of g^(2^(k*columns +
+    j*block)) over the bits k set in i, so one lookup covers the bits of
+    column j*block of every row; squaring ``block`` times brings in the
+    other columns of each block."""
+    p, t = params.p, params.q.bit_length()
+    rows = min(COMB_ROWS, t)
+    columns = -(-t // rows)
+    block = -(-columns // COMB_TABLES)
+    powers = [params.g]  # g^(2^i), one squaring chain
+    for _ in range(1, rows * columns):
+        powers.append(powers[-1] * powers[-1] % p)
+    tables = []
+    for first in range(0, columns, block):  # only tables whose columns exist
+        table = [1]
+        for k in range(rows):
+            base = powers[k * columns + first]
+            table += [v * base % p for v in table]
+        tables.append(tuple(table))
+    # column c's index is the bits c, c + columns, ... of the exponent: the
+    # slice from position columns - 1 - c of its big-endian bit string
+    schedule = tuple(
+        tuple(
+            (table, columns - 1 - j * block - s)
+            for j, table in enumerate(tables)
+            if j * block + s < columns
+        )
+        for s in reversed(range(block))
+    )
+    return _Comb(schedule, columns, f"0{rows * columns}b")
 
 
 def g_pow(params: GroupParams, e: int) -> int:
     """g^e mod p for the group's generator, equal to ``powmod(g, e, p)``.
 
     The exponent is reduced mod q (g^q = 1 is checked by the GroupParams
-    constructor) and read in w-bit digits, one table lookup and at most
-    one modular product per digit.
+    constructor) and read through the generator's comb: one squaring per
+    column of a block, one table lookup and one modular product per
+    column.
     """
     p = params.p
-    e %= params.q
-    mask = (1 << FIXED_BASE_WINDOW) - 1
+    schedule, columns, bits_format = _comb(params)
+    bits = format(e % params.q, bits_format)
     acc = 1
-    for row in _generator_table(params):
-        if not e:
-            break
-        digit = e & mask
-        if digit:
-            acc = acc * row[digit] % p
-        e >>= FIXED_BASE_WINDOW
+    for step in schedule:
+        acc = acc * acc % p
+        for table, start in step:
+            acc = acc * table[int(bits[start::columns], 2)] % p
     return acc
 
 
@@ -211,6 +277,27 @@ def inverse(params: GroupParams, a: int) -> int:
     """a^(-1) mod p by the extended Euclidean algorithm; ValueError for a
     multiple of p."""
     return pow(a, -1, params.p)
+
+
+def inverses(params: GroupParams, values: list[int]) -> list[int]:
+    """``inverse`` of each value, with one ``inverse`` call and 3(k - 1)
+    modular products for k values (Montgomery's trick); ValueError when
+    any value is a multiple of p."""
+    p = params.p
+    prefix = []  # prefix[i] = values[0] * ... * values[i]
+    acc = 1
+    for v in values:
+        acc = acc * v % p
+        prefix.append(acc)
+    if not prefix:
+        return []
+    inv = inverse(params, acc)  # (values[0] * ... * values[i])^(-1) as i falls
+    out = [0] * len(prefix)
+    for i in range(len(prefix) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % p
+        inv = inv * values[i] % p
+    out[0] = inv
+    return out
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -71,9 +71,19 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
         raise ValueError("A and Q must be square matrices of the same size")
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ValueError("Q must be symmetric")
+    _check_stable(A)
+    return _doubling(A, Q)
+
+
+def _check_stable(A: np.ndarray) -> None:
     rho = spectral_radius(A)
     if rho >= 1.0:
         raise UnstableSystemError(f"spectral radius {rho!r} >= 1")
+
+
+def _doubling(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Smith's doubling loop of ``solve_discrete_lyapunov`` for an A
+    already known to be stable and float arrays of matching shapes."""
     psi, A_k = Q, A
     for _ in range(MAX_DOUBLING_ROUNDS):
         nxt = psi + A_k @ psi @ A_k.T
@@ -83,7 +93,7 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
         A_k = A_k @ A_k
     raise np.linalg.LinAlgError(
         f"Lyapunov doubling did not converge in {MAX_DOUBLING_ROUNDS} rounds "
-        f"(spectral radius {rho!r})"
+        f"(spectral radius {spectral_radius(A)!r})"
     )
 
 
@@ -97,13 +107,24 @@ class GramianPair:
 
 def gramians(A: np.ndarray, B: np.ndarray) -> GramianPair:
     """Gramians of x' = Ax + Bu + w: solutions of A Psi A^T - Psi + Q = 0
-    with Q = B B^T (input) and Q = I (noise)."""
+    with Q = B B^T (input) and Q = I (noise).
+
+    Raises UnstableSystemError when the spectral radius of A is 1 or more,
+    checked once for both solves.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    return GramianPair(
-        Psi_u=solve_discrete_lyapunov(A, B @ B.T),
-        Psi_w=solve_discrete_lyapunov(A, np.eye(A.shape[0])),
-    )
+    n = A.shape[0]
+    if A.shape != (n, n) or B.ndim != 2 or B.shape[0] != n:
+        raise ValueError("A must be square and B must have as many rows as A")
+    _check_stable(A)
+    return _gramians(A, B)
+
+
+def _gramians(A: np.ndarray, B: np.ndarray) -> GramianPair:
+    """``gramians`` for float arrays of matching shapes and an A already
+    known to be stable, such as a plant the config parser accepted."""
+    return GramianPair(Psi_u=_doubling(A, B @ B.T), Psi_w=_doubling(A, np.eye(A.shape[0])))
 
 
 def sic_full(

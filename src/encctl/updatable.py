@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elgamal import Ciphertext, PublicKey, SecretKey, _pick_r, _trusted, decrypt, keygen, multiply
-from .modgroup import GroupParams, g_pow, powmod
+from .elgamal import Ciphertext, PublicKey, SecretKey, _pick_r, _trusted, keygen, multiply
+from .modgroup import GroupParams, g_pow, powmod2
 
 
 class UpdateToken(NamedTuple):
@@ -82,14 +82,15 @@ def ct_update(
 ) -> Ciphertext:
     """Re-key a ciphertext to the epoch after ``token``'s rotation.
 
-    Output is (c1*g^r, (c1*g^r)^d * c2 * h^r) with fresh r, so the result
+    Output is (c1*g^r, (c1*g^r)^d * h^r * c2) with fresh r, so the result
     is also re-randomized.  Decrypting under the post-rotation secret key
-    yields the original plaintext.
+    yields the original plaintext.  g^r is a table power and
+    (c1*g^r)^d * h^r one joint exponentiation (``modgroup.powmod2``).
     """
     r = _pick_r(params, rng, r, "ct_update")
     p = params.p
     c1_new = ct.c1 * g_pow(params, r) % p
-    c2_new = powmod(c1_new, token.d, p) * ct.c2 % p * powmod(token.h_old, r, p) % p
+    c2_new = powmod2(c1_new, token.d, token.h_old, r, p) * ct.c2 % p
     return Ciphertext(c1_new, c2_new)
 
 
@@ -109,10 +110,12 @@ def cross_decrypt(sk1: SecretKey, sk2: SecretKey, ect: ExtendedCiphertext) -> in
 
     sk1/sk2 must be the epochs of the first/second operand of
     ``cross_eval``.  Wrong keys produce a uniformly random-looking group
-    element rather than an error.
+    element rather than an error.  The result is c1^(-s1) * c2^(-s2) * c3,
+    both masks ``elgamal.mask``'s c^(q-s) and taken in one joint
+    exponentiation (``modgroup.powmod2``).
     """
-    c_tilde = decrypt(sk2, Ciphertext(ect.c2, ect.c3))
-    return decrypt(sk1, Ciphertext(ect.c1, c_tilde))
+    p, q = sk1.params.p, sk1.params.q
+    return powmod2(ect.c1, (q - sk1.s) % q, ect.c2, (q - sk2.s) % q, p) * ect.c3 % p
 
 
 def recover_next_key(sk: SecretKey, token: UpdateToken) -> SecretKey:

@@ -7,7 +7,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from encctl import cli
+from encctl import cli, security_design
 from encctl.cli import (
     ConfigError,
     load_preset,
@@ -314,6 +314,22 @@ def test_plant_just_below_instability_is_designed(tmp_path, capsys, command):
     path = write(tmp_path, DESIGN_CONFIG.replace("A: 0.5", "A: 0.9999999999"))
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["design", "complexity-curve"])
+def test_plant_stability_is_checked_once(tmp_path, capsys, monkeypatch, command):
+    # the parser's check covers both Gramian solves
+    calls = []
+    real = security_design.spectral_radius
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(security_design, "spectral_radius", counted)
+    path = write(tmp_path, DESIGN_CONFIG)
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_loop_demo_smoke(tmp_path, capsys):

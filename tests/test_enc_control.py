@@ -347,13 +347,15 @@ def test_encrypted_loop_matches_per_entry_decryption(cfg64):
 def test_encrypted_loop_modexp_count(monkeypatch, cfg64):
     # no variable-base exponentiation: each encryption is two table powers
     # of the generator (alpha*beta for the gain, beta per step for the
-    # state), each rotation and the epoch-0 key one more, and each mask one
-    # inverse taken from the plant's own plaintext
+    # state), each rotation and the epoch-0 key one more, and the masks of
+    # each gain row and of each step's state one batch of inverses taken
+    # from the plant's own plaintexts, one extended-Euclid inverse each
     model = sec6_plant(sigma_w2=0.01)
     controller = ControllerParams(-0.3 * np.eye(4))
     alpha, beta, T = 4, 4, 5
     powmods = count_calls(monkeypatch, "powmod")
     table_powers = count_calls(monkeypatch, "g_pow")
+    batches = count_calls(monkeypatch, "inverses")
     inverses = count_calls(monkeypatch, "inverse")
     encodes = []
     real_encode = enc_control.encode
@@ -370,7 +372,8 @@ def test_encrypted_loop_modexp_count(monkeypatch, cfg64):
     encryptions = alpha * beta + beta * T
     assert len(powmods) == 0
     assert len(table_powers) == 1 + 2 * encryptions + T
-    assert len(inverses) == encryptions
+    assert len(batches) == alpha + T
+    assert len(inverses) == alpha + T
     assert len(encodes) == encryptions  # each value encoded once
 
 

@@ -2,19 +2,24 @@ import random
 
 import pytest
 import sympy
+from hypothesis import example, given, strategies as st
 
 from encctl import modgroup
 from encctl.modgroup import (
-    FIXED_BASE_WINDOW,
+    COMB_ROWS,
+    COMB_TABLES,
     GroupGenerationError,
     GroupParams,
     g_pow,
     generate_group_params,
+    inverse,
+    inverses,
     is_member,
     is_probable_prime,
     nearest_member,
+    powmod2,
 )
-from conftest import count_calls
+from conftest import LAW, WIDE, count_calls
 
 TOY_MEMBERS = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
 
@@ -129,15 +134,123 @@ def test_nearest_member_gap_bound_32_bit():
         assert abs(member - target) <= 64
 
 
+def comb_boundaries(params: GroupParams) -> list[int]:
+    """2^(i*a + j*b) for every row i, column block j and the last column,
+    with the comb's a columns in blocks of b, and the all-ones exponent
+    just below each."""
+    t = params.q.bit_length()
+    rows = min(COMB_ROWS, t)
+    a = -(-t // rows)
+    b = -(-a // COMB_TABLES)
+    shifts = [i * a + c for i in range(rows) for c in [*range(0, a, b), a - 1]]
+    return [2**k for k in shifts] + [2**k - 1 for k in shifts] + [2**t - 1]
+
+
 @pytest.mark.parametrize("name", ["toy_group", "group64", "group712"])
 def test_g_pow_matches_pow(name, request):
     params = request.getfixturevalue(name)
-    w = FIXED_BASE_WINDOW
     rng = random.Random(7)
-    exps = [0, 1, 2**w - 1, 2**w, params.q - 1, params.q, -1]
+    exps = [0, 1, 63, 64, params.q - 1, params.q, -1] + comb_boundaries(params)
     exps += [rng.randrange(params.q) for _ in range(100)]
     for e in exps:
         assert g_pow(params, e) == pow(params.g, e, params.p), e
+
+
+@LAW
+@given(e=WIDE)
+@example(e=0)
+@example(e=-1)
+def test_g_pow_law(law_group, e):
+    params = law_group
+    for x in (e, params.q - 1 - e % params.q, e * params.q):
+        assert g_pow(params, x) == pow(params.g, x, params.p), x
+
+
+def test_small_groups_build_small_combs(toy_group, group64, group712):
+    # only tables whose columns exist: one 16-entry table for the toy group
+    def entries(params):
+        g_pow(params, 1)
+        tables = {id(table): table for step in modgroup._comb(params).schedule for table, _ in step}
+        return sorted(len(table) for table in tables.values())
+
+    assert entries(toy_group) == [16]
+    assert entries(group64) == [2**COMB_ROWS] * 3
+    assert entries(group712) == [2**COMB_ROWS] * COMB_TABLES
+
+
+def product_of_pows(a, x, b, y, p):
+    return pow(a, x, p) * pow(b, y, p) % p
+
+
+@LAW
+@given(a=WIDE, b=WIDE, x=st.integers(0, 2**80), y=st.integers(0, 2**80))
+@example(a=2, b=2, x=0, y=0)
+@example(a=-1, b=-1, x=1, y=2**80)
+@example(a=3, b=3, x=2**80 - 1, y=1)  # a = b
+def test_powmod2_law(law_group, a, b, x, y):
+    p = law_group.p
+    a, b = a % p, b % p
+    assert powmod2(a, x, b, y, p) == product_of_pows(a, x, b, y, p)
+    q = law_group.q
+    for x_q, y_q in ((x % q, q - 1), (q - 1, y % q), (1, 0), (0, 1)):
+        assert powmod2(a, x_q, b, y_q, p) == product_of_pows(a, x_q, b, y_q, p)
+
+
+def test_powmod2_examples_712(group712):
+    p, q = group712.p, group712.q
+    rng = random.Random(12)
+    a, b = rng.randrange(1, p), rng.randrange(1, p)
+    exps = [0, 1, 2, 3, q - 1, q, 2**709 - 1, 2**710, rng.randrange(q), rng.randrange(2**333)]
+    for x in exps:
+        for y in exps:
+            assert powmod2(a, x, b, y, p) == product_of_pows(a, x, b, y, p), (x, y)
+        assert powmod2(a, x, a, x + 1, p) == pow(a, 2 * x + 1, p)  # a = b
+    assert powmod2(0, 0, 0, 5, p) == 0 and powmod2(p, 0, p - 1, 0, p) == 1
+
+
+def test_powmod2_rejects_negative_exponents(toy_group):
+    if modgroup.BACKEND != "pow":
+        pytest.skip("the joint chain runs on the pow backend only")
+    with pytest.raises(ValueError, match="nonnegative"):
+        powmod2(2, -1, 3, 1, toy_group.p)
+    with pytest.raises(ValueError, match="nonnegative"):
+        powmod2(2, 1, 3, -1, toy_group.p)
+
+
+@LAW
+@given(values=st.lists(WIDE, max_size=12))
+@example(values=[])
+@example(values=[1])
+@example(values=[-1, 1, -1])
+def test_inverses_law(law_group, values):
+    p = law_group.p
+    values = [1 + v % (p - 1) for v in values]  # nonzero residues
+    assert inverses(law_group, values) == [pow(v, -1, p) for v in values]
+
+
+def test_inverses_examples_712(group712):
+    p = group712.p
+    rng = random.Random(13)
+    values = [rng.randrange(1, p) for _ in range(16)] + [1, p - 1, p + 2]
+    for k in (0, 1, 2, len(values)):
+        assert inverses(group712, values[:k]) == [inverse(group712, v) for v in values[:k]]
+
+
+@pytest.mark.parametrize("zero", [0, 23, -46])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_inverses_reject_multiples_of_p(toy_group, zero, at):
+    values = [2, 3, 4, 5]
+    values.insert(at, zero)
+    with pytest.raises(ValueError):
+        inverse(toy_group, zero)
+    with pytest.raises(ValueError):
+        inverses(toy_group, values)
+
+
+def test_inverses_take_one_inverse(monkeypatch, group64):
+    calls = count_calls(monkeypatch, "inverse")
+    inverses(group64, list(range(2, 40)))
+    assert len(calls) == 1
 
 
 def test_g_pow_on_equal_groups_shares_answers(group64):

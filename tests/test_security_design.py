@@ -85,6 +85,40 @@ def test_lyapunov_rejects_unstable():
         solve_discrete_lyapunov(np.eye(2), np.eye(2))
 
 
+@pytest.mark.parametrize("A", [np.eye(2), np.array([[0.5, 3.0], [0.0, -1.5]])])
+def test_gramians_rejects_unstable(A):
+    with pytest.raises(UnstableSystemError):
+        gramians(A, np.ones((2, 1)))
+
+
+def test_gramians_check_stability_once(monkeypatch):
+    # one eigendecomposition for both solves
+    calls = []
+    real = security_design.spectral_radius
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(security_design, "spectral_radius", counted)
+    pair = gramians(ROOT_HALF * np.eye(3), np.ones((3, 2)))
+    assert len(calls) == 1
+    assert np.allclose(pair.Psi_w, 2 * np.eye(3), atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        (np.eye(2)[:1], np.ones((1, 1))),  # A not square
+        (0.5 * np.eye(2), np.ones((3, 1))),  # B rows differ
+        (0.5 * np.eye(2), np.ones(2)),  # B not a matrix
+    ],
+)
+def test_gramians_rejects_mismatched_shapes(A, B):
+    with pytest.raises(ValueError, match="B must have as many rows as A"):
+        gramians(A, B)
+
+
 def test_lyapunov_just_below_the_threshold():
     # the solver accepts every rho < 1, as the config parser does
     for rho in (0.9999999999, 1 - 1e-15):

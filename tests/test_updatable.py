@@ -1,3 +1,4 @@
+import builtins
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import scipy.stats
 from hypothesis import example, given, strategies as st
 
 from encctl.elgamal import Ciphertext, PublicKey, SecretKey, decrypt, encrypt, keygen
+from encctl import modgroup
 from encctl.modgroup import is_member
 from encctl.updatable import (
     ExtendedCiphertext,
@@ -112,6 +114,33 @@ def test_cross_decrypt_degenerate_second_operand(toy_group):
     for c1, c2 in [(4, 3), (13, 4), (9, 9)]:
         ect = ExtendedCiphertext(c1, 1, c2)
         assert cross_decrypt(sk, sk, ect) == decrypt(sk, Ciphertext(c1, c2))
+
+
+@pytest.mark.skipif(modgroup.BACKEND != "pow", reason="counts the builtin pow backend")
+def test_rekey_and_cross_decrypt_use_one_joint_chain(monkeypatch, group64):
+    # each call is one powmod2 chain: no powmod and no other pow call
+    rng = random.Random(5)
+    epoch = initial_epoch(group64, rng)
+    nxt, token = key_update(epoch, rng)
+    m = pow(group64.g, 77, group64.p)
+    ct, ct_next = encrypt(epoch.pk, m, rng), encrypt(nxt.pk, m, rng)
+    powmods = count_calls(monkeypatch, "powmod")
+    chains = count_calls(monkeypatch, "powmod2")
+    pows = []
+    real_pow = builtins.pow
+
+    def counted_pow(*args):
+        pows.append(args)
+        return real_pow(*args)
+
+    monkeypatch.setattr(builtins, "pow", counted_pow)
+    updated = ct_update(group64, ct, token, rng)
+    product = cross_decrypt(epoch.sk, nxt.sk, cross_eval(epoch.pk, ct, ct_next))
+    monkeypatch.undo()
+    assert decrypt(nxt.sk, updated) == m
+    assert product == m * m % group64.p
+    assert powmods == [] and pows == []
+    assert len(chains) == 2
 
 
 def test_recover_next_key_examples(toy_group):
