@@ -542,7 +542,8 @@ def main(argv: list[str] | None = None) -> int:
         identification.RankDeficiencyError,
         np.linalg.LinAlgError,
         ValueError,
-        ZeroDivisionError,
+        ArithmeticError,
+        MemoryError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

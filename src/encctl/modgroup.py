@@ -5,10 +5,9 @@ Z_p^*, with p = 2q + 1 a safe prime (the quadratic residues).  This module
 generates such groups, tests membership, and finds the subgroup member
 closest to a target integer, which the fixed-point codec relies on.
 
-The big-int backend is ``gmpy2.powmod`` when gmpy2 is installed and the
-builtin ``pow`` otherwise (``BACKEND`` names it).  Cheaper paths replace
-the generic exponentiation on either backend, so the acceptance budgets
-hold on pure ``pow``:
+Big integers are Python's own, and the generic exponentiation is the
+builtin ``pow``.  Cheaper paths replace it where the exponent or base
+allows:
 
 * ``g_pow`` raises the fixed generator through a Lim-Lee comb built once
   per group (Lim & Lee, CRYPTO '94; HAC Alg. 14.113).  The exponent's
@@ -21,8 +20,7 @@ hold on pure ``pow``:
   so memory is bounded however many groups a process makes.
 * ``powmod2`` computes a^x * b^y as one exponentiation chain that reads
   both exponents' 2-bit windows together (Shamir's trick; HAC Alg.
-  14.88), about two thirds of the cost of two ``pow`` calls.  Under
-  gmpy2 it is two GMP calls, which a Python-level chain cannot beat.
+  14.88), about two thirds of the cost of two ``pow`` calls.
 * ``is_member`` on a group from ``generate_group_params`` (cofactor 2,
   p and q Miller-Rabin tested) is the Legendre symbol (a|p) = 1, which
   equals Euler's criterion a^q = 1 for prime p.  Every other group keeps
@@ -45,51 +43,38 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-try:
-    from gmpy2 import powmod as _gmp_powmod
+powmod = pow  # a module name, so call counters can wrap modgroup.powmod
 
-    def powmod(base: int, exp: int, mod: int) -> int:
-        """Modular exponentiation, GMP-backed when gmpy2 is installed."""
-        return int(_gmp_powmod(base, exp, mod))
 
-    def powmod2(a: int, x: int, b: int, y: int, mod: int) -> int:
-        """a^x * b^y mod ``mod`` as two GMP exponentiations."""
-        return int(_gmp_powmod(a, x, mod)) * int(_gmp_powmod(b, y, mod)) % mod
+def powmod2(a: int, x: int, b: int, y: int, mod: int) -> int:
+    """a^x * b^y mod ``mod`` for x, y >= 0, equal to
+    ``pow(a, x, mod) * pow(b, y, mod) % mod``.
 
-    BACKEND = "gmpy2"
+    One chain over both exponents (Shamir's trick, HAC Alg. 14.88):
+    each step squares twice and multiplies by a^i * b^j for the
+    exponents' next 2-bit digits i and j, read from a 16-entry table.
+    """
+    if x < 0 or y < 0:
+        raise ValueError("exponents must be nonnegative")
+    a, b = a % mod, b % mod
+    row = [1, b, b * b % mod]
+    row.append(row[2] * b % mod)
+    table = list(row)  # table[4*i + j] = a^i * b^j
+    for _ in range(3):
+        row = [v * a % mod for v in row]
+        table += row
+    width = max(x.bit_length(), y.bit_length())
+    width += width & 1
+    x_bits, y_bits = format(x, f"0{width}b"), format(y, f"0{width}b")
+    acc = 1
+    for i in range(0, width, 2):
+        acc = acc * acc % mod
+        acc = acc * acc % mod
+        k = int(x_bits[i : i + 2] + y_bits[i : i + 2], 2)
+        if k:
+            acc = acc * table[k] % mod
+    return acc
 
-except ImportError:
-    powmod = pow
-    BACKEND = "pow"
-
-    def powmod2(a: int, x: int, b: int, y: int, mod: int) -> int:
-        """a^x * b^y mod ``mod`` for x, y >= 0, equal to
-        ``pow(a, x, mod) * pow(b, y, mod) % mod``.
-
-        One chain over both exponents (Shamir's trick, HAC Alg. 14.88):
-        each step squares twice and multiplies by a^i * b^j for the
-        exponents' next 2-bit digits i and j, read from a 16-entry table.
-        """
-        if x < 0 or y < 0:
-            raise ValueError("exponents must be nonnegative")
-        a, b = a % mod, b % mod
-        row = [1, b, b * b % mod]
-        row.append(row[2] * b % mod)
-        table = list(row)  # table[4*i + j] = a^i * b^j
-        for _ in range(3):
-            row = [v * a % mod for v in row]
-            table += row
-        width = max(x.bit_length(), y.bit_length())
-        width += width & 1
-        x_bits, y_bits = format(x, f"0{width}b"), format(y, f"0{width}b")
-        acc = 1
-        for i in range(0, width, 2):
-            acc = acc * acc % mod
-            acc = acc * acc % mod
-            k = int(x_bits[i : i + 2] + y_bits[i : i + 2], 2)
-            if k:
-                acc = acc * table[k] % mod
-        return acc
 
 MILLER_RABIN_ROUNDS = 40  # error probability < 4^-40 < 2^-80
 

@@ -381,6 +381,36 @@ def test_zero_variances_are_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+GRAMIAN_PLANT = DESIGN_CONFIG.replace("  sigma_x2: 1.0\n", "  sigma_x2: 1.0\n  psi_u: 2.0\n  psi_w: 2.0\n")
+
+
+# Each size is beyond float range or beyond what a 64-bit Linux process can
+# map (2^47 bytes), so the conversion or the allocation fails at once and no
+# memory is touched.
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param(
+            "complexity-curve", SIM_CONFIG.replace("[10, 20]", f"[10, {'9' * 400}]"),
+            id="n_grid-beyond-float-range",
+        ),
+        pytest.param(
+            "design", GRAMIAN_PLANT.replace("  n: 2\n", "  n: 100000000\n"), id="plant-n-beyond-memory"
+        ),
+        pytest.param(
+            "attack-sim", SIM_CONFIG.replace("[10, 20]", "[10000000000000]"), id="n_grid-beyond-memory"
+        ),
+    ],
+)
+def test_outsized_value_is_numerical_failure(tmp_path, capsys, command, text):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write(tmp_path, text)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "command, sigma_w2, attack, field",
     [

@@ -6,7 +6,6 @@ import scipy.stats
 from hypothesis import example, given, strategies as st
 
 from encctl.elgamal import Ciphertext, PublicKey, SecretKey, decrypt, encrypt, keygen
-from encctl import modgroup
 from encctl.modgroup import is_member
 from encctl.updatable import (
     ExtendedCiphertext,
@@ -116,7 +115,6 @@ def test_cross_decrypt_degenerate_second_operand(toy_group):
         assert cross_decrypt(sk, sk, ect) == decrypt(sk, Ciphertext(c1, c2))
 
 
-@pytest.mark.skipif(modgroup.BACKEND != "pow", reason="counts the builtin pow backend")
 def test_rekey_and_cross_decrypt_use_one_joint_chain(monkeypatch, group64):
     # each call is one powmod2 chain: no powmod and no other pow call
     rng = random.Random(5)
