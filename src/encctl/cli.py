@@ -58,6 +58,8 @@ def _get(block: dict, path: str, key: str, required: bool = True, default=None):
 
 
 def _finite(value, path: str) -> float:
+    if isinstance(value, bool):  # YAML reads yes/no/on/off/true as booleans
+        _fail(path, f"expected a number, got {value!r}")
     try:
         value = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -173,8 +175,8 @@ def _parse_plant(block: dict) -> PlantBlock:
 def _parse_attack(block: dict) -> AttackBlock:
     sigma_u2 = block.get("sigma_u2")
     r_sigma = block.get("r_sigma")
-    if sigma_u2 is None and r_sigma is None:
-        _fail("attack", "needs sigma_u2 or r_sigma")
+    if (sigma_u2 is None) == (r_sigma is None):
+        _fail("attack.r_sigma", "give exactly one of sigma_u2 and r_sigma")
     if sigma_u2 is not None:
         sigma_u2 = _positive(sigma_u2, "attack.sigma_u2")
     if r_sigma is not None:

@@ -16,15 +16,14 @@ allows:
   712-bit group's tables hold 4 x 2048 residues, about 1.0 MiB built in
   under 0.1 s, and ``g^e`` costs 16 squarings and at most 65 modular
   products, where ``pow`` needs about 850.  Small groups build only the
-  tables whose columns exist.  The last four groups' tables stay cached,
-  so memory is bounded however many groups a process makes.
+  tables whose columns exist.  Each group keeps its own comb, built on
+  its first ``g_pow`` and freed with the group.
 * ``powmod2`` computes a^x * b^y as one exponentiation chain that reads
   both exponents' 2-bit windows together (Shamir's trick; HAC Alg.
   14.88), about two thirds of the cost of two ``pow`` calls.
-* ``is_member`` on a group from ``generate_group_params`` (cofactor 2,
-  p and q Miller-Rabin tested) is the Legendre symbol (a|p) = 1, which
-  equals Euler's criterion a^q = 1 for prime p.  Every other group keeps
-  the a^q test.
+* ``is_member`` on any group with cofactor 2 is the Legendre symbol
+  (a|p) = 1, which equals Euler's criterion a^q = 1 because such a group
+  with q prime has p prime.  Every other cofactor keeps the a^q test.
 
 ``inverse`` is the extended-Euclid a^(-1) mod p, about 20x cheaper than
 an exponentiation at 712 bits, and ``inverses`` takes k of them with one
@@ -82,14 +81,6 @@ _SIEVE_BOUND = 2000
 
 COMB_ROWS = 11  # exponent bits combined into one index of the generator's comb
 COMB_TABLES = 4  # comb tables, 2^COMB_ROWS residues each
-_TABLE_CACHE_SIZE = 4  # groups whose comb tables stay alive at once
-
-# Instance attribute set by generate_group_params only: p and q passed
-# Miller-Rabin, so membership may use the Legendre symbol.  It is not a
-# dataclass field, so equality, hash and repr stay those of (p, q, g,
-# cofactor), and a group rebuilt from the same numbers by hand is not
-# marked.
-_PRIME_MARK = "_safe_prime_tested"
 
 
 def _small_primes(bound: int) -> list[int]:
@@ -108,12 +99,23 @@ class GroupGenerationError(RuntimeError):
     """No safe prime found within the attempt budget."""
 
 
+class _Comb(NamedTuple):
+    schedule: tuple  # per squaring: the (table, start of its index slice) pairs
+    columns: int  # bits between the exponent bits of one index
+    bits_format: str  # the exponent as a zero-padded bit string of rows*columns
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Public parameters (p, q, g) of an order-q subgroup of Z_p^*.
 
-    p = cofactor * q + 1 with p, q prime and g a generator of the
-    subgroup (g^q = 1 mod p, g != 1).  Immutable and safe to share.
+    p = cofactor * q + 1 and g a generator of the subgroup (g^q = 1 mod p,
+    g != 1), both checked here.  This module's arithmetic is exact for
+    every group whose q is prime: with cofactor 2, a g != 1 with g^q = 1
+    mod p then exists only if p is prime too (the n - 1 primality test,
+    HAC §4.3.2), and any other cofactor is tested by a^q itself.
+    Immutable and safe to share; the generator's comb is built on the
+    group's first ``g_pow`` and kept with it.
     """
 
     p: int
@@ -128,6 +130,40 @@ class GroupParams:
             raise ValueError("generator out of range")
         if powmod(self.g, self.q, self.p) != 1:
             raise ValueError("generator does not have order dividing q")
+
+    @functools.cached_property
+    def _comb(self) -> _Comb:
+        """The generator's Lim-Lee comb: an exponent below q is laid out
+        in ``rows`` rows of ``columns`` bits, and the columns in blocks of
+        ``block``.  Table j holds, at index i, the product of
+        g^(2^(k*columns + j*block)) over the bits k set in i, so one lookup
+        covers the bits of column j*block of every row; squaring ``block``
+        times brings in the other columns of each block."""
+        p, t = self.p, self.q.bit_length()
+        rows = min(COMB_ROWS, t)
+        columns = -(-t // rows)
+        block = -(-columns // COMB_TABLES)
+        powers = [self.g]  # g^(2^i), one squaring chain
+        for _ in range(1, rows * columns):
+            powers.append(powers[-1] * powers[-1] % p)
+        tables = []
+        for first in range(0, columns, block):  # only tables whose columns exist
+            table = [1]
+            for k in range(rows):
+                base = powers[k * columns + first]
+                table += [v * base % p for v in table]
+            tables.append(tuple(table))
+        # column c's index is the bits c, c + columns, ... of the exponent:
+        # the slice from position columns - 1 - c of its big-endian bit string
+        schedule = tuple(
+            tuple(
+                (table, columns - 1 - j * block - s)
+                for j, table in enumerate(tables)
+                if j * block + s < columns
+            )
+            for s in reversed(range(block))
+        )
+        return _Comb(schedule, columns, f"0{rows * columns}b")
 
 
 def is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
@@ -189,54 +225,8 @@ def generate_group_params(
         raise GroupGenerationError(
             f"no {bit_length}-bit safe prime found in {max_attempts} attempts"
         )
-    while True:
-        a = rng.randrange(2, p - 1)
-        g = a * a % p
-        if g != 1:
-            params = GroupParams(p=p, q=q, g=g, cofactor=2)
-            object.__setattr__(params, _PRIME_MARK, True)
-            return params
-
-
-class _Comb(NamedTuple):
-    schedule: tuple  # per squaring: the (table, start of its index slice) pairs
-    columns: int  # bits between the exponent bits of one index
-    bits_format: str  # the exponent as a zero-padded bit string of rows*columns
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _comb(params: GroupParams) -> _Comb:
-    """The generator's Lim-Lee comb: an exponent below q is laid out in
-    ``rows`` rows of ``columns`` bits, and the columns in blocks of
-    ``block``.  Table j holds, at index i, the product of g^(2^(k*columns +
-    j*block)) over the bits k set in i, so one lookup covers the bits of
-    column j*block of every row; squaring ``block`` times brings in the
-    other columns of each block."""
-    p, t = params.p, params.q.bit_length()
-    rows = min(COMB_ROWS, t)
-    columns = -(-t // rows)
-    block = -(-columns // COMB_TABLES)
-    powers = [params.g]  # g^(2^i), one squaring chain
-    for _ in range(1, rows * columns):
-        powers.append(powers[-1] * powers[-1] % p)
-    tables = []
-    for first in range(0, columns, block):  # only tables whose columns exist
-        table = [1]
-        for k in range(rows):
-            base = powers[k * columns + first]
-            table += [v * base % p for v in table]
-        tables.append(tuple(table))
-    # column c's index is the bits c, c + columns, ... of the exponent: the
-    # slice from position columns - 1 - c of its big-endian bit string
-    schedule = tuple(
-        tuple(
-            (table, columns - 1 - j * block - s)
-            for j, table in enumerate(tables)
-            if j * block + s < columns
-        )
-        for s in reversed(range(block))
-    )
-    return _Comb(schedule, columns, f"0{rows * columns}b")
+    a = rng.randrange(2, p - 1)  # a != +-1, so a^2 != 1 for prime p
+    return GroupParams(p=p, q=q, g=a * a % p)
 
 
 def g_pow(params: GroupParams, e: int) -> int:
@@ -248,7 +238,7 @@ def g_pow(params: GroupParams, e: int) -> int:
     column.
     """
     p = params.p
-    schedule, columns, bits_format = _comb(params)
+    schedule, columns, bits_format = params._comb
     bits = format(e % params.q, bits_format)
     acc = 1
     for step in schedule:
@@ -301,15 +291,17 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def is_member(params: GroupParams, a: int) -> bool:
-    """True iff ``a`` lies in the order-q subgroup (a^q = 1 mod p).
+    """True iff ``a`` lies in the order-q subgroup (a^q = 1 mod p), exact
+    for every group whose q is prime.
 
-    For a generated safe-prime group the subgroup is the quadratic
-    residues and the test is (a|p) = 1, the same answer at a fraction of
-    the cost; otherwise a^q is computed.
+    With cofactor 2 and q prime, p is prime (see GroupParams), the
+    subgroup is the quadratic residues and the test is the Legendre
+    symbol (a|p) = 1, Euler's criterion at a fraction of the cost; any
+    other cofactor computes a^q.
     """
     if a <= 0 or a >= params.p:
         raise ValueError(f"value {a} outside (0, p)")
-    if params.cofactor == 2 and getattr(params, _PRIME_MARK, False):
+    if params.cofactor == 2:
         return _jacobi(a, params.p) == 1
     return powmod(a, params.q, params.p) == 1
 

@@ -356,6 +356,13 @@ def test_loop_demo_smoke(tmp_path, capsys):
         pytest.param("design", ("plant", "A"), math.nan, id="A-nan"),
         pytest.param("design", ("plant", "A"), [[0.5, math.nan], [0.0, 0.5]], id="A-entry-nan"),
         pytest.param("design", ("plant", "sigma_w2"), math.nan, id="sigma_w2-nan"),
+        # YAML 1.1 reads yes/no/on/off/true/false as booleans, not numbers
+        pytest.param("design", ("requirement", "gamma_c"), True, id="gamma_c-bool"),
+        pytest.param("design", ("plant", "sigma_x2"), False, id="sigma_x2-bool"),
+        pytest.param("design", ("plant", "B"), True, id="B-bool"),
+        pytest.param("loop-demo", ("codec", "delta"), True, id="delta-bool"),
+        # DESIGN_CONFIG gives sigma_u2; both of the two is ambiguous
+        pytest.param("design", ("attack", "r_sigma"), 100.0, id="sigma_u2-and-r_sigma"),
     ],
 )
 def test_bad_field_is_config_error(tmp_path, capsys, command, path, value):

@@ -1,10 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from encctl import modgroup
 from encctl.modgroup import (
     COMB_ROWS,
     COMB_TABLES,
@@ -19,7 +20,7 @@ from encctl.modgroup import (
     nearest_member,
     powmod2,
 )
-from conftest import LAW, WIDE, count_calls
+from conftest import LAW, TOY, WIDE, count_calls
 
 TOY_MEMBERS = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
 
@@ -170,7 +171,7 @@ def test_small_groups_build_small_combs(toy_group, group64, group712):
     # only tables whose columns exist: one 16-entry table for the toy group
     def entries(params):
         g_pow(params, 1)
-        tables = {id(table): table for step in modgroup._comb(params).schedule for table, _ in step}
+        tables = {id(table): table for step in params._comb.schedule for table, _ in step}
         return sorted(len(table) for table in tables.values())
 
     assert entries(toy_group) == [16]
@@ -252,26 +253,41 @@ def test_inverses_take_one_inverse(monkeypatch, group64):
 
 
 def test_g_pow_on_equal_groups_shares_answers(group64):
-    # a hand-built copy of a generated group uses the same table entries
+    # a hand-built copy of a generated group builds its own comb, with the
+    # same powers
     copy = GroupParams(p=group64.p, q=group64.q, g=group64.g)
     for e in (3, group64.q // 3, group64.q - 2):
         assert g_pow(copy, e) == g_pow(group64, e) == pow(group64.g, e, group64.p)
 
 
 def test_legendre_membership_agrees_on_every_toy_residue():
-    toy = generate_group_params(5, random.Random(0))
-    for a in range(1, toy.p):
-        assert is_member(toy, a) == (pow(a, toy.q, toy.p) == 1), a
-    assert [a for a in range(1, toy.p) if is_member(toy, a)] == TOY_MEMBERS
+    for toy in (generate_group_params(5, random.Random(0)), TOY):  # generated, hand-built
+        for a in range(1, toy.p):
+            assert is_member(toy, a) == (pow(a, toy.q, toy.p) == 1), a
+        assert [a for a in range(1, toy.p) if is_member(toy, a)] == TOY_MEMBERS
 
 
 def test_legendre_membership_agrees_on_random_residues(group64):
-    rng = random.Random(11)
-    residues = [rng.randrange(1, group64.p) for _ in range(2000)]
-    residues += [pow(group64.g, rng.randrange(group64.q), group64.p) for _ in range(200)]
-    answers = [is_member(group64, a) for a in residues]
-    assert answers == [pow(a, group64.q, group64.p) == 1 for a in residues]
-    assert 0 < sum(answers) < len(answers)
+    rebuilt = GroupParams(group64.p, group64.q, group64.g)
+    for params in (group64, rebuilt):
+        rng = random.Random(11)
+        residues = [rng.randrange(1, params.p) for _ in range(2000)]
+        residues += [pow(params.g, rng.randrange(params.q), params.p) for _ in range(200)]
+        answers = [is_member(params, a) for a in residues]
+        assert answers == [pow(a, params.q, params.p) == 1 for a in residues]
+        assert 0 < sum(answers) < len(answers)
+
+
+def test_prime_q_and_composite_p_have_no_generator():
+    # the lemma behind the Legendre test: with q prime and p = 2q + 1
+    # composite, no g != 1 has g^q = 1 mod p, so GroupParams rejects
+    # every candidate and a valid group with q prime has p prime
+    composite = [q for q in sympy.primerange(2, 500) if not sympy.isprime(2 * q + 1)]
+    assert len(composite) > 50
+    for q in composite:
+        for g in range(2, 2 * q + 1):
+            with pytest.raises(ValueError, match="order dividing q"):
+                GroupParams(2 * q + 1, q, g)
 
 
 def test_generated_group_membership_skips_pow(monkeypatch, group64):
@@ -281,24 +297,33 @@ def test_generated_group_membership_skips_pow(monkeypatch, group64):
     assert calls == []
 
 
-def test_hand_built_group_membership_uses_pow(monkeypatch, group64):
-    # a group rebuilt by hand from a generated one's numbers carries no
-    # primality mark, so membership falls back to a^q
+def test_hand_built_group_membership_uses_legendre(monkeypatch, group64):
+    # a group rebuilt by hand from a generated one's numbers is the same
+    # group and takes the same membership path
     rebuilt = GroupParams(group64.p, group64.q, group64.g)
     assert rebuilt == group64 and hash(rebuilt) == hash(group64)
     assert repr(rebuilt) == repr(group64)
     calls = count_calls(monkeypatch, "powmod")
     assert is_member(rebuilt, 4)
     assert not is_member(rebuilt, group64.p - 1)  # -1 is a non-residue for p = 3 mod 4
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_other_cofactor_membership_uses_pow(monkeypatch):
     # p = 31 = 6*5 + 1: the order-5 subgroup is not the quadratic residues,
     # so the Legendre symbol would be wrong here even with p prime
     params = GroupParams(p=31, q=5, g=2, cofactor=6)
-    object.__setattr__(params, modgroup._PRIME_MARK, True)
     calls = count_calls(monkeypatch, "powmod")
     members = [a for a in range(1, 31) if is_member(params, a)]
     assert members == [1, 2, 4, 8, 16]
     assert len(calls) == 30
+
+
+def test_dropped_group_frees_its_comb():
+    # the comb lives on its group, so nothing else keeps the group alive
+    params = GroupParams(p=47, q=23, g=4)
+    assert g_pow(params, 5) == pow(4, 5, 47)
+    ref = weakref.ref(params)
+    del params
+    gc.collect()
+    assert ref() is None
