@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
@@ -89,10 +90,23 @@ def _positive_int(value, path: str) -> int:
     return value
 
 
+@contextlib.contextmanager
+def _sized_by(path: str):
+    """Prefix a MemoryError or OverflowError raised inside with ``path``,
+    the config field whose size caused it; it stays a numerical failure."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"{path}: {exc}") from exc
+    except OverflowError as exc:
+        raise OverflowError(f"{path}: {exc}") from exc
+
+
 def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     """Scalars become value * I (rectangular identity); lists are checked."""
     if isinstance(value, (int, float)):
-        return _finite(value, path) * np.eye(rows, cols)
+        with _sized_by(path):
+            return _finite(value, path) * np.eye(rows, cols)
     try:
         M = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -370,18 +384,19 @@ def cmd_complexity_curve(cfg: RunConfig, out: Path) -> int:
     tr_w = float(np.trace(pair.Psi_w))
     rows = []
     for N in attack.n_grid:
-        rows.append(
-            [
-                N,
-                repr(security_design.sic_full(
-                    plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
-                    pair.Psi_u, pair.Psi_w, N,
-                )),
-                repr(security_design.sic_large_n(plant.m, plant.n, r_sigma, tr_u, tr_w, N)),
-                repr(security_design.sic_upperbound_input(plant.m, plant.n, r_sigma, N)),
-                repr(security_design.sic_upperbound_noise(plant.m, plant.n, N)),
-            ]
-        )
+        with _sized_by(f"attack.n_grid: N={N}"):
+            rows.append(
+                [
+                    N,
+                    repr(security_design.sic_full(
+                        plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
+                        pair.Psi_u, pair.Psi_w, N,
+                    )),
+                    repr(security_design.sic_large_n(plant.m, plant.n, r_sigma, tr_u, tr_w, N)),
+                    repr(security_design.sic_upperbound_input(plant.m, plant.n, r_sigma, N)),
+                    repr(security_design.sic_upperbound_noise(plant.m, plant.n, N)),
+                ]
+            )
     path = out / "complexity_curve.csv"
     _write_csv(path, ["N", "gamma_full", "gamma_largeN", "bound_input", "bound_noise"], rows)
     print(f"wrote {path} ({len(rows)} grid points)")
@@ -409,15 +424,16 @@ def cmd_attack_sim(cfg: RunConfig, out: Path, seed: int) -> int:
     trial_rows = []
     summary_rows = []
     for j, N in enumerate(attack.n_grid):
-        atk = identification.AttackConfig(sigma_u2=sigma_u2, N=N)
-        result = identification.monte_carlo_error(model, atk, attack.trials, seed + j)
+        with _sized_by(f"attack.n_grid: N={N}"):
+            atk = identification.AttackConfig(sigma_u2=sigma_u2, N=N)
+            result = identification.monte_carlo_error(model, atk, attack.trials, seed + j)
+            gamma = security_design.sic_full(
+                plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
+                pair.Psi_u, pair.Psi_w, N,
+            )
         for i, eps in enumerate(result.epsilons):
             ok = not np.isnan(eps)
             trial_rows.append([N, i, repr(float(eps)) if ok else "", "ok" if ok else "rank_deficient"])
-        gamma = security_design.sic_full(
-            plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
-            pair.Psi_u, pair.Psi_w, N,
-        )
         summary_rows.append([N, repr(result.mean_epsilon), repr(gamma)])
     trials_path = out / "attack_trials.csv"
     summary_path = out / "attack_summary.csv"

@@ -3,6 +3,13 @@
 Ciphertexts are pairs (g^r, m*h^r) mod p.  The scheme is multiplicatively
 homomorphic: the component-wise product of two ciphertexts under the same
 key decrypts to the product of the plaintexts mod p.
+
+Secrets s and randomness r are drawn below 2^L for the group's
+``exponent_bits`` L = 2*lambda (148 bits at 712), or from all of [0, q)
+on small groups where L is unset.  Short-exponent ElGamal is IND-CPA under DDH
+plus the discrete-log-with-short-exponents assumption (Koshiba &
+Kurosawa, PKC 2004).  Keys and randomness given from outside may be any
+exponent in [0, q); they only cost a full-length exponentiation.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import random
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .modgroup import GroupParams, g_pow, is_member, powmod
+from .modgroup import GroupParams, g_pow, inverse, is_member, powmod
 
 
 @dataclass(frozen=True)
@@ -52,21 +59,32 @@ def _trusted(cls, *values):
     return obj
 
 
+def _draw_exponent(params: GroupParams, rng: random.Random, low: int = 0) -> int:
+    """One exponent drawn from [low, 2^L) for the group's ``exponent_bits``
+    L, or from [low, q) when L is unset."""
+    L = params.exponent_bits
+    return rng.randrange(low, 1 << L if L else params.q)
+
+
 def _pick_r(params: GroupParams, rng: random.Random | None, r: int | None, caller: str) -> int:
     """The randomness exponent for ``caller``: ``r`` when given, checked to
-    lie in [0, q), otherwise one draw from (0, q)."""
+    lie in [0, q), otherwise one ``_draw_exponent`` from 1 up."""
     if r is None:
         if rng is None:
             raise ValueError(f"{caller} needs an rng when r is not given")
-        return rng.randrange(1, params.q)
+        return _draw_exponent(params, rng, 1)
     if not 0 <= r < params.q:
         raise ValueError("r outside [0, q)")
     return r
 
 
 def keygen(params: GroupParams, rng: random.Random) -> tuple[PublicKey, SecretKey]:
-    """Draw s uniform over Z_q and return ((params, g^s mod p), s)."""
-    s = rng.randrange(params.q)
+    """Draw s with ``_draw_exponent`` and return ((params, g^s mod p), s).
+
+    s is uniform below 2^L for the group's ``exponent_bits`` L, or over
+    Z_q on groups where L is unset.
+    """
+    s = _draw_exponent(params, rng)
     h = g_pow(params, s)  # a subgroup member by construction
     return _trusted(PublicKey, params, h), SecretKey(params, s)
 
@@ -74,9 +92,11 @@ def keygen(params: GroupParams, rng: random.Random) -> tuple[PublicKey, SecretKe
 def encrypt(pk: PublicKey, m: int, rng: random.Random | None = None, r: int | None = None) -> Ciphertext:
     """Encrypt a subgroup member m as (g^r, m*h^r) mod p.
 
-    r is drawn fresh from (0, q) unless given explicitly; passing r
-    (including 0) makes the ciphertext deterministic for testing.  r = 0
-    is never drawn because it would reveal m in the second component.
+    r is drawn fresh from (0, 2^L), or (0, q) where the group's
+    ``exponent_bits`` L is unset, unless given explicitly; passing any r
+    in [0, q) (including 0) makes the ciphertext deterministic for
+    testing.  r = 0 is never drawn because it would reveal m in the
+    second component.
     """
     p = pk.params.p
     if not is_member(pk.params, m):
@@ -89,11 +109,11 @@ def mask(sk: SecretKey, c1: int) -> int:
     """The factor c1^{-s} mod p that strips the key from a ciphertext
     whose first component is c1.
 
-    The inverse is computed as c1^{q-s}; every subgroup element has order
-    dividing q, so no extended-gcd path is needed.
+    Computed as the extended-Euclid inverse of c1^s, so the exponent is
+    the key's own L bits rather than the full-length q - s; ValueError
+    for a c1 that is a multiple of p.
     """
-    p, q = sk.params.p, sk.params.q
-    return powmod(c1, (q - sk.s) % q, p)
+    return inverse(sk.params, powmod(c1, sk.s, sk.params.p))
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext) -> int:

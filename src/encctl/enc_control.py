@@ -17,9 +17,12 @@ alpha*beta gain masks once per run and beta state masks per step.  A
 step costs no variable-base exponentiation, 2*beta + 2*alpha*beta/T
 table powers plus one for the key rotation, and 1 + alpha/T
 extended-Euclid inverses, and moves 2*beta + alpha*beta group elements.
-At the designed 712 bits on the builtin ``pow`` a 4x4 step at T = 10
-takes about 4.2 ms (the benchmark's loop_k712 on one core of a 2-vCPU
-Xeon VM, Python 3.11).
+At the designed 712 bits s and r are 148-bit draws
+(``GroupParams.exponent_bits``), so every table power, g^(s*r)
+included, reads an exponent of at most 296 bits, the length the
+generator's comb is laid out for.  On the builtin ``pow`` a 4x4 step at
+T = 10 then takes about 2.1 ms (the benchmark's loop_k712, median of
+ten runs on one core of a 2-vCPU Xeon VM, Python 3.11).
 
 A plaintext twin (``run_plain_loop``) consumes the identical noise stream
 so encrypted-versus-plain deviations isolate quantization effects.

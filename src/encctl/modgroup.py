@@ -5,19 +5,31 @@ Z_p^*, with p = 2q + 1 a safe prime (the quadratic residues).  This module
 generates such groups, tests membership, and finds the subgroup member
 closest to a target integer, which the fixed-point codec relies on.
 
+Secret exponents are as long as the group's strength needs, not as long
+as q.  ``GroupParams.exponent_bits`` is L = 2*lambda, for lambda the
+bits of security the general number field sieve grants p
+(``security_design.gnfs_ln_complexity``): Pollard's kangaroo finds an
+L-bit exponent in about 2^(L/2) = 2^lambda steps (van Oorschot & Wiener,
+EUROCRYPT '96), the sieve's cost.  At 712 bits L = 148 where q has 711
+bits.  Where 2L would not stay below q, as on every group of 137 bits
+or fewer, exponents are drawn from all of [0, q).
+
 Big integers are Python's own, and the generic exponentiation is the
 builtin ``pow``.  Cheaper paths replace it where the exponent or base
 allows:
 
 * ``g_pow`` raises the fixed generator through a Lim-Lee comb built once
-  per group (Lim & Lee, CRYPTO '94; HAC Alg. 14.113).  The exponent's
-  bits are laid out in COMB_ROWS = 11 rows, and the comb's columns are
-  split into COMB_TABLES = 4 blocks, one table of 2^11 residues each.  A
-  712-bit group's tables hold 4 x 2048 residues, about 1.0 MiB built in
-  under 0.1 s, and ``g^e`` costs 16 squarings and at most 65 modular
-  products, where ``pow`` needs about 850.  Small groups build only the
-  tables whose columns exist.  Each group keeps its own comb, built on
-  its first ``g_pow`` and freed with the group.
+  per group (Lim & Lee, CRYPTO '94; HAC Alg. 14.113), laid out for the
+  2L-bit products s*r of two drawn exponents (q's bit length where L is
+  unset).  The exponent's bits are laid out in COMB_ROWS = 11 rows, and
+  the comb's columns are split into COMB_TABLES = 4 blocks, one table of
+  2^11 residues each.  A 712-bit group's tables hold 4 x 2048 residues,
+  about 1.0 MiB built in under 0.1 s, and ``g^e`` for e below 2^296
+  costs 6 squarings and at most 27 modular products, where ``pow``
+  needs about 850 on a full-length exponent.  Longer exponents, such as
+  a full-length key given from outside, go to ``pow``.  Small groups
+  build only the tables whose columns exist.  Each group keeps its own
+  comb, built on its first ``g_pow`` and freed with the group.
 * ``powmod2`` computes a^x * b^y as one exponentiation chain that reads
   both exponents' 2-bit windows together (Shamir's trick; HAC Alg.
   14.88), about two thirds of the cost of two ``pow`` calls.
@@ -38,9 +50,12 @@ Not hardened against side channels; intended for simulation and analysis.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from .security_design import gnfs_ln_complexity
 
 powmod = pow  # a module name, so call counters can wrap modgroup.powmod
 
@@ -102,6 +117,7 @@ class GroupGenerationError(RuntimeError):
 class _Comb(NamedTuple):
     schedule: tuple  # per squaring: the (table, start of its index slice) pairs
     columns: int  # bits between the exponent bits of one index
+    bound: int  # 2^(rows*columns): the exponents the comb covers lie below it
     bits_format: str  # the exponent as a zero-padded bit string of rows*columns
 
 
@@ -115,7 +131,8 @@ class GroupParams:
     mod p then exists only if p is prime too (the n - 1 primality test,
     HAC §4.3.2), and any other cofactor is tested by a^q itself.
     Immutable and safe to share; the generator's comb is built on the
-    group's first ``g_pow`` and kept with it.
+    group's first ``g_pow`` and kept with it, and ``exponent_bits`` is
+    derived from p on first use.
     """
 
     p: int
@@ -132,14 +149,28 @@ class GroupParams:
             raise ValueError("generator does not have order dividing q")
 
     @functools.cached_property
+    def exponent_bits(self) -> int | None:
+        """L = 2*lambda, the bit length of every drawn exponent, for lambda
+        = floor(log2 of the GNFS cost of p): 148 at 712 bits.
+
+        None unless 2L < q's bit length, so the product s*r of two drawn
+        exponents stays below q; such groups (every one of 137 bits or
+        fewer, and 139 to 141 bits) draw from all of [0, q).
+        """
+        bits = 2 * math.floor(gnfs_ln_complexity(self.p.bit_length()) / math.log(2))
+        return bits if 2 * bits < self.q.bit_length() else None
+
+    @functools.cached_property
     def _comb(self) -> _Comb:
-        """The generator's Lim-Lee comb: an exponent below q is laid out
-        in ``rows`` rows of ``columns`` bits, and the columns in blocks of
-        ``block``.  Table j holds, at index i, the product of
+        """The generator's Lim-Lee comb: an exponent of t bits, 2L with L
+        the ``exponent_bits`` or q's bit length when L is unset, is laid
+        out in ``rows`` rows of ``columns`` bits, and the columns in blocks
+        of ``block``.  Table j holds, at index i, the product of
         g^(2^(k*columns + j*block)) over the bits k set in i, so one lookup
         covers the bits of column j*block of every row; squaring ``block``
         times brings in the other columns of each block."""
-        p, t = self.p, self.q.bit_length()
+        p = self.p
+        t = 2 * self.exponent_bits if self.exponent_bits else self.q.bit_length()
         rows = min(COMB_ROWS, t)
         columns = -(-t // rows)
         block = -(-columns // COMB_TABLES)
@@ -163,7 +194,7 @@ class GroupParams:
             )
             for s in reversed(range(block))
         )
-        return _Comb(schedule, columns, f"0{rows * columns}b")
+        return _Comb(schedule, columns, 1 << rows * columns, f"0{rows * columns}b")
 
 
 def is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
@@ -235,11 +266,14 @@ def g_pow(params: GroupParams, e: int) -> int:
     The exponent is reduced mod q (g^q = 1 is checked by the GroupParams
     constructor) and read through the generator's comb: one squaring per
     column of a block, one table lookup and one modular product per
-    column.
+    column.  A reduced exponent longer than the comb is ``powmod``'s.
     """
     p = params.p
-    schedule, columns, bits_format = params._comb
-    bits = format(e % params.q, bits_format)
+    schedule, columns, bound, bits_format = params._comb
+    e %= params.q
+    if e >= bound:
+        return powmod(params.g, e, p)
+    bits = format(e, bits_format)
     acc = 1
     for step in schedule:
         acc = acc * acc % p

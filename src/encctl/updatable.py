@@ -1,10 +1,11 @@
 """Key rotation for the multiplicative scheme, with cross-epoch evaluation.
 
 A key epoch is rotated by drawing a fresh secret s' and publishing
-h' = h*g^d with d = s' - s mod q.  The pair (h, d) is the update token;
-whoever holds it can refresh old ciphertexts to the new key, but can also
-recover the next secret key from the current one (``recover_next_key``),
-which is exactly why the token must never reach an untrusted host.
+h' = g^{s'} = h*g^d with d = s' - s mod q.  The pair (h, d) is the
+update token; whoever holds it can refresh old ciphertexts to the new
+key, but can also recover the next secret key from the current one
+(``recover_next_key``), which is exactly why the token must never reach
+an untrusted host.
 
 ``cross_eval``/``cross_decrypt`` remove the need to send the token out at
 all: the product of two ciphertexts from *different* epochs is kept as a
@@ -18,8 +19,17 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elgamal import Ciphertext, PublicKey, SecretKey, _pick_r, _trusted, keygen, multiply
-from .modgroup import GroupParams, g_pow, powmod2
+from .elgamal import (
+    Ciphertext,
+    PublicKey,
+    SecretKey,
+    _draw_exponent,
+    _pick_r,
+    _trusted,
+    keygen,
+    multiply,
+)
+from .modgroup import GroupParams, g_pow, inverse, powmod2
 
 
 class UpdateToken(NamedTuple):
@@ -56,16 +66,18 @@ def initial_epoch(params: GroupParams, rng: random.Random) -> KeyEpoch:
 def key_update(epoch: KeyEpoch, rng: random.Random) -> tuple[KeyEpoch, UpdateToken]:
     """Rotate to a fresh secret; returns the next epoch and its token.
 
-    The difference d = s' - s is reduced mod q, not mod p: exponents live
-    in the order-q group, and reducing mod p would make h*g^d miss g^{s'}
-    whenever s' < s.  h' = h*g^d = g^{s'} holds for any valid epoch, so
-    the new one skips the key-match and membership checks and a rotation
-    costs one fixed-base exponentiation.
+    s' is drawn like ``keygen``'s secret, below 2^L for the group's
+    ``exponent_bits`` L.  The difference d = s' - s is reduced mod q, not
+    mod p: exponents live in the order-q group, and reducing mod p would
+    make h*g^d miss g^{s'} whenever s' < s.  h' = g^{s'}, which equals
+    h*g^d for any valid epoch, so the new one skips the key-match and
+    membership checks and a rotation costs one table power of the short
+    s' (d itself is full-length whenever s' < s).
     """
     params = epoch.pk.params
-    s_new = rng.randrange(params.q)
+    s_new = _draw_exponent(params, rng)
     d = (s_new - epoch.sk.s) % params.q
-    h_new = epoch.pk.h * g_pow(params, d) % params.p
+    h_new = g_pow(params, s_new)
     token = UpdateToken(epoch.pk.h, d)
     new_epoch = _trusted(
         KeyEpoch, epoch.t + 1, _trusted(PublicKey, params, h_new), SecretKey(params, s_new)
@@ -86,12 +98,19 @@ def ct_update(
     is also re-randomized.  Decrypting under the post-rotation secret key
     yields the original plaintext.  g^r is a table power and
     (c1*g^r)^d * h^r one joint exponentiation (``modgroup.powmod2``).
+    With both secrets below 2^L, d or q - d is short: when d > q/2 the
+    chain raises the inverse of c1*g^r to q - d, which is the same power
+    for a subgroup member, so both of its exponents stay L bits long.
     """
     r = _pick_r(params, rng, r, "ct_update")
-    p = params.p
+    p, q = params.p, params.q
     c1_new = ct.c1 * g_pow(params, r) % p
-    c2_new = powmod2(c1_new, token.d, token.h_old, r, p) * ct.c2 % p
-    return Ciphertext(c1_new, c2_new)
+    d = token.d % q
+    if d > q // 2:
+        factor = powmod2(inverse(params, c1_new), q - d, token.h_old, r, p)
+    else:
+        factor = powmod2(c1_new, d, token.h_old, r, p)
+    return Ciphertext(c1_new, factor * ct.c2 % p)
 
 
 def cross_eval(pk: PublicKey, ct1: Ciphertext, ct2: Ciphertext) -> ExtendedCiphertext:
@@ -110,12 +129,13 @@ def cross_decrypt(sk1: SecretKey, sk2: SecretKey, ect: ExtendedCiphertext) -> in
 
     sk1/sk2 must be the epochs of the first/second operand of
     ``cross_eval``.  Wrong keys produce a uniformly random-looking group
-    element rather than an error.  The result is c1^(-s1) * c2^(-s2) * c3,
-    both masks ``elgamal.mask``'s c^(q-s) and taken in one joint
-    exponentiation (``modgroup.powmod2``).
+    element rather than an error.  The result is c1^(-s1) * c2^(-s2) * c3:
+    c1^s1 * c2^s2 is one joint exponentiation over the two short secrets
+    (``modgroup.powmod2``), and one extended-Euclid inverse strips it.
     """
-    p, q = sk1.params.p, sk1.params.q
-    return powmod2(ect.c1, (q - sk1.s) % q, ect.c2, (q - sk2.s) % q, p) * ect.c3 % p
+    params = sk1.params
+    both = powmod2(ect.c1, sk1.s, ect.c2, sk2.s, params.p)
+    return inverse(params, both) * ect.c3 % params.p
 
 
 def recover_next_key(sk: SecretKey, token: UpdateToken) -> SecretKey:

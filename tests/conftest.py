@@ -60,11 +60,18 @@ def group64():
 
 
 @pytest.fixture(scope="session")
+def group160():
+    return generate_group_params(160, random.Random(0x160))
+
+
+@pytest.fixture(scope="session")
 def group712():
     return generate_group_params(712, random.Random(0x5EED))
 
 
-@pytest.fixture(scope="session", params=["toy_group", "group64"])
+@pytest.fixture(scope="session", params=["toy_group", "group64", "group160"])
 def law_group(request):
-    """The groups every Hypothesis law runs on."""
+    """The groups every Hypothesis law runs on: two that draw exponents
+    from all of [0, q), and a 160-bit one that draws them below
+    2^exponent_bits."""
     return request.getfixturevalue(request.param)

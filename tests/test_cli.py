@@ -395,25 +395,34 @@ GRAMIAN_PLANT = DESIGN_CONFIG.replace("  sigma_x2: 1.0\n", "  sigma_x2: 1.0\n  p
 # map (2^47 bytes), so the conversion or the allocation fails at once and no
 # memory is touched.
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, field",
     [
         pytest.param(
             "complexity-curve", SIM_CONFIG.replace("[10, 20]", f"[10, {'9' * 400}]"),
+            "attack.n_grid: N=999",
             id="n_grid-beyond-float-range",
         ),
         pytest.param(
-            "design", GRAMIAN_PLANT.replace("  n: 2\n", "  n: 100000000\n"), id="plant-n-beyond-memory"
+            "design", GRAMIAN_PLANT.replace("  n: 2\n", "  n: 100000000\n"), "plant.A: ",
+            id="plant-n-beyond-memory",
         ),
         pytest.param(
-            "attack-sim", SIM_CONFIG.replace("[10, 20]", "[10000000000000]"), id="n_grid-beyond-memory"
+            "design",
+            GRAMIAN_PLANT.replace("  n: 2\n", "  n: 100000000\n").replace("  A: 0.5\n  B: 1.0\n", ""),
+            "plant.psi_u: ", id="gramian-plant-n-beyond-memory",
+        ),
+        pytest.param(
+            "attack-sim", SIM_CONFIG.replace("[10, 20]", "[10000000000000]"),
+            "attack.n_grid: N=10000000000000: ", id="n_grid-beyond-memory",
         ),
     ],
 )
-def test_outsized_value_is_numerical_failure(tmp_path, capsys, command, text):
+def test_outsized_value_is_numerical_failure(tmp_path, capsys, command, text, field):
     out = tmp_path / "out"
     assert main([command, "--config", str(write(tmp_path, text)), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ")
+    assert err.startswith(f"numerical failure: {field}")
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from encctl.codec import CodecConfig, ZeroEncodingError, decode, encode, sum_rows
+from encctl.codec import MAX_LEVELS, CodecConfig, ZeroEncodingError, decode, encode, sum_rows
 from encctl.modgroup import GroupParams, nearest_member
 from conftest import LAW
 
@@ -153,8 +153,11 @@ UNIT = st.floats(-1.0, 1.0)
 @example(t1=1.0, t2=-1.0)
 @example(t1=-1.0, t2=0.0)
 def test_codec_laws(law_group, t1, t2):
-    # the widest bound whose squared level count stays clear of float rounding
-    cfg = CodecConfig(law_group, delta=0.01, value_bound=0.01 * math.isqrt(law_group.p // 4))
+    # the widest bound whose squared level count stays clear of float
+    # rounding, capped below the codec's float-exact level count on groups
+    # as large as 160 bits
+    levels = min(math.isqrt(law_group.p // 4), MAX_LEVELS // 2)
+    cfg = CodecConfig(law_group, delta=0.01, value_bound=0.01 * levels)
     p = law_group.p
     slack = 4 * math.ulp(cfg.value_bound)
     encoded = []

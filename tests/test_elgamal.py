@@ -7,6 +7,8 @@ from encctl.elgamal import (
     Ciphertext,
     PublicKey,
     SecretKey,
+    _draw_exponent,
+    _pick_r,
     decrypt,
     encrypt,
     keygen,
@@ -137,3 +139,31 @@ def test_ciphertext_components_stay_in_subgroup(group64):
         assert is_member(group64, ct.c1) and is_member(group64, ct.c2)
         ct2 = multiply(pk, ct, ct)
         assert is_member(group64, ct2.c1) and is_member(group64, ct2.c2)
+
+
+@pytest.mark.parametrize("name, L", [("group160", 74), ("group712", 148)])
+def test_drawn_exponents_are_short(name, L, request):
+    # s and r lie below 2^L and use its full length, so s*r < q needs no
+    # reduction
+    params = request.getfixturevalue(name)
+    assert params.exponent_bits == L
+    rng = random.Random(17)
+    secrets = [keygen(params, rng)[1].s for _ in range(100)]
+    rs = [_pick_r(params, rng, None, "test") for _ in range(100)]
+    assert all(0 <= s < 2**L for s in secrets) and all(1 <= r < 2**L for r in rs)
+    assert max(s.bit_length() for s in secrets) == max(r.bit_length() for r in rs) == L
+    assert max(secrets) * max(rs) < params.q
+
+
+def test_small_groups_draw_from_all_of_z_q(toy_group, group64):
+    # exponent_bits is unset on small groups: the draws are those of
+    # randrange(q), bit for bit
+    for params in (toy_group, group64):
+        rng, ref = random.Random(19), random.Random(19)
+        assert [_draw_exponent(params, rng) for _ in range(50)] == [
+            ref.randrange(params.q) for _ in range(50)
+        ]
+        assert [_pick_r(params, rng, None, "test") for _ in range(50)] == [
+            ref.randrange(1, params.q) for _ in range(50)
+        ]
+

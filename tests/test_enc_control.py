@@ -377,6 +377,26 @@ def test_encrypted_loop_modexp_count(monkeypatch, cfg64):
     assert len(encodes) == encryptions  # each value encoded once
 
 
+def test_encrypted_loop_712_fits_the_comb(monkeypatch, group712):
+    # at 712 bits s and r are 148-bit draws, so every g^(s*r) is a table
+    # power of the 296-bit comb and the loop still makes no powmod; its
+    # trace is the per-entry reference's, from the same key draws
+    cfg = CodecConfig(group712, delta=1e-3, value_bound=1000.0)
+    model, controller = sec6_plant(sigma_w2=0.01), ControllerParams(-0.3 * np.eye(4))
+    key_rng, ref_key_rng = random.Random(47), random.Random(47)
+    powmods = count_calls(monkeypatch, "powmod")
+    trace = run_encrypted_loop(
+        model, controller, cfg, T=3, noise_rng=np.random.default_rng(47), key_rng=key_rng
+    )
+    assert powmods == []
+    monkeypatch.undo()
+    states, inputs, _ = reference_loop(
+        model, controller, cfg, 3, np.random.default_rng(47), ref_key_rng
+    )
+    assert np.array_equal(trace.states, states) and np.array_equal(trace.inputs, inputs)
+    assert key_rng.getstate() == ref_key_rng.getstate()
+
+
 @LAW
 @given(s=WIDE, draws=st.lists(st.tuples(WIDE, WIDE), min_size=1, max_size=4))
 @example(s=0, draws=[(0, -1), (-1, -1)])  # members 1 and the largest, r = q-1
@@ -387,7 +407,7 @@ def test_encrypt_vector_matches_encrypt(law_group, s, draws):
     params = law_group
     pk, sk = keygen(params, ScriptedRng(s % params.q))
     ms = [member(params, u) for u, _ in draws]
-    rs = [1 + v % (params.q - 1) for _, v in draws]  # the range _pick_r draws from
+    rs = [1 + v % (params.q - 1) for _, v in draws]  # any r in [1, q)
     rng = ScriptedRng(*rs)
     cts = encrypt_vector(sk, ms, rng)
     assert rng.values == []  # one draw per plaintext

@@ -1,4 +1,6 @@
 import gc
+import json
+import math
 import random
 import weakref
 
@@ -6,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
+from encctl.cli import main
 from encctl.modgroup import (
     COMB_ROWS,
     COMB_TABLES,
@@ -20,6 +23,7 @@ from encctl.modgroup import (
     nearest_member,
     powmod2,
 )
+from encctl.security_design import gnfs_ln_complexity
 from conftest import LAW, TOY, WIDE, count_calls
 
 TOY_MEMBERS = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
@@ -135,11 +139,17 @@ def test_nearest_member_gap_bound_32_bit():
         assert abs(member - target) <= 64
 
 
+def comb_bits(params: GroupParams) -> int:
+    """The exponent bits the comb is laid out for: 2L for the group's
+    exponent_bits L, or q's bit length where L is unset."""
+    return 2 * params.exponent_bits if params.exponent_bits else params.q.bit_length()
+
+
 def comb_boundaries(params: GroupParams) -> list[int]:
     """2^(i*a + j*b) for every row i, column block j and the last column,
     with the comb's a columns in blocks of b, and the all-ones exponent
     just below each."""
-    t = params.q.bit_length()
+    t = comb_bits(params)
     rows = min(COMB_ROWS, t)
     a = -(-t // rows)
     b = -(-a // COMB_TABLES)
@@ -147,14 +157,63 @@ def comb_boundaries(params: GroupParams) -> list[int]:
     return [2**k for k in shifts] + [2**k - 1 for k in shifts] + [2**t - 1]
 
 
-@pytest.mark.parametrize("name", ["toy_group", "group64", "group712"])
+@pytest.mark.parametrize("name", ["toy_group", "group64", "group160", "group712"])
 def test_g_pow_matches_pow(name, request):
     params = request.getfixturevalue(name)
     rng = random.Random(7)
-    exps = [0, 1, 63, 64, params.q - 1, params.q, -1] + comb_boundaries(params)
+    t = comb_bits(params)
+    exps = [0, 1, 63, 64, params.q - 1, params.q, -1, 2**t, 2**t - 1] + comb_boundaries(params)
     exps += [rng.randrange(params.q) for _ in range(100)]
+    exps += [rng.randrange(2**t) for _ in range(100)]
     for e in exps:
         assert g_pow(params, e) == pow(params.g, e, params.p), e
+
+
+def test_g_pow_beyond_the_comb_uses_pow(monkeypatch, group712):
+    # the comb covers the 296-bit products s*r of two 148-bit exponents;
+    # a reduced exponent longer than the comb, such as a full-length key
+    # given from outside, is one powmod
+    calls = count_calls(monkeypatch, "powmod")
+    bound = group712._comb.bound
+    assert comb_bits(group712) == 296 and bound == 2**297  # 11 rows of 27 columns
+    for e in (0, 2**296 - 1, 2**296, bound - 1):
+        assert g_pow(group712, e) == pow(group712.g, e, group712.p)
+    assert calls == []
+    for e in (bound, group712.q - 1, -1, 2**710):
+        assert g_pow(group712, e) == pow(group712.g, e, group712.p)
+    assert len(calls) == 4
+
+
+def sized_group(bits: int) -> GroupParams:
+    """p = 2^(bits-1) + 1, q = 2^(bits-2) and g = p - 1: not a prime-order
+    group, but GroupParams accepts it since (-1)^q = 1 for even q, and it
+    is enough to test what depends only on the sizes of p and q."""
+    p = 2 ** (bits - 1) + 1
+    return GroupParams(p=p, q=(p - 1) // 2, g=p - 1)
+
+
+@pytest.mark.parametrize("bits, L", [(142, 70), (160, 74), (256, 92), (712, 148), (1024, 172), (2048, 232)])
+def test_exponent_bits_follow_the_gnfs_strength(bits, L):
+    params = sized_group(bits)
+    assert params.p.bit_length() == bits
+    assert params.exponent_bits == L == 2 * math.floor(gnfs_ln_complexity(bits) / math.log(2))
+    assert 2 * L < params.q.bit_length()  # s*r < q with no reduction
+
+
+def test_exponent_bits_at_k_star_are_twice_lambda_star(tmp_path, capsys):
+    # the designed key length's exponents carry the designed strength
+    assert main(["design", "--preset", "reference_design", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "design.json").read_text())
+    assert sized_group(doc["k_star"]).exponent_bits == 2 * doc["lambda_star"] == 148
+
+
+@pytest.mark.parametrize("bits", [5, 64, 128, 140])
+def test_exponent_bits_unset_on_small_groups(bits):
+    # at 128 bits 2L = 132 would exceed q's 127 bits, and at 140 bits
+    # 2L = 140 would exceed 139: draws stay on [0, q)
+    params = sized_group(bits)
+    assert params.p.bit_length() == bits
+    assert params.exponent_bits is None
 
 
 @LAW
@@ -168,7 +227,8 @@ def test_g_pow_law(law_group, e):
 
 
 def test_small_groups_build_small_combs(toy_group, group64, group712):
-    # only tables whose columns exist: one 16-entry table for the toy group
+    # only tables whose columns exist: one 16-entry table for the toy group;
+    # the 712-bit comb is laid out for 296 bits in the same 4 x 2048 residues
     def entries(params):
         g_pow(params, 1)
         tables = {id(table): table for step in params._comb.schedule for table, _ in step}

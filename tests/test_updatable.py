@@ -116,7 +116,8 @@ def test_cross_decrypt_degenerate_second_operand(toy_group):
 
 
 def test_rekey_and_cross_decrypt_use_one_joint_chain(monkeypatch, group64):
-    # each call is one powmod2 chain: no powmod and no other pow call
+    # each call is one powmod2 chain and at most one extended-Euclid
+    # inverse: no powmod and no other pow call
     rng = random.Random(5)
     epoch = initial_epoch(group64, rng)
     nxt, token = key_update(epoch, rng)
@@ -124,6 +125,7 @@ def test_rekey_and_cross_decrypt_use_one_joint_chain(monkeypatch, group64):
     ct, ct_next = encrypt(epoch.pk, m, rng), encrypt(nxt.pk, m, rng)
     powmods = count_calls(monkeypatch, "powmod")
     chains = count_calls(monkeypatch, "powmod2")
+    inverses = count_calls(monkeypatch, "inverse")
     pows = []
     real_pow = builtins.pow
 
@@ -133,12 +135,66 @@ def test_rekey_and_cross_decrypt_use_one_joint_chain(monkeypatch, group64):
 
     monkeypatch.setattr(builtins, "pow", counted_pow)
     updated = ct_update(group64, ct, token, rng)
+    counts = [(len(chains), len(inverses))]
     product = cross_decrypt(epoch.sk, nxt.sk, cross_eval(epoch.pk, ct, ct_next))
+    counts.append((len(chains), len(inverses)))
     monkeypatch.undo()
     assert decrypt(nxt.sk, updated) == m
     assert product == m * m % group64.p
-    assert powmods == [] and pows == []
-    assert len(chains) == 2
+    assert powmods == []
+    assert counts[0][0] == 1 and counts[0][1] <= 1
+    assert counts[1][0] - counts[0][0] == 1 and counts[1][1] - counts[0][1] == 1
+    assert len(pows) == len(inverses) and all(args[1] == -1 for args in pows)
+
+
+def short_epoch(params, s):
+    """The epoch of secret s, built through the public constructors."""
+    return KeyEpoch(0, PublicKey(params, pow(params.g, s, params.p)), SecretKey(params, s))
+
+
+def test_full_length_keys_interoperate_with_short_ones(group712):
+    # a full-length secret from outside decrypts, rotates to a short one,
+    # re-keys and cross-decrypts beside a short key
+    params = group712
+    rng = random.Random(41)
+    full = short_epoch(params, params.q // 3 + rng.randrange(2**64))
+    short = initial_epoch(params, rng)
+    assert full.sk.s.bit_length() == 710 and short.sk.s < 2**148
+    m1, m2 = (pow(params.g, rng.randrange(params.q), params.p) for _ in range(2))
+    ct_full, ct_short = encrypt(full.pk, m1, rng), encrypt(short.pk, m2, rng)
+    assert decrypt(full.sk, ct_full) == m1
+    for sk1, sk2, ct1, ct2 in [
+        (full.sk, short.sk, ct_full, ct_short),
+        (short.sk, full.sk, ct_short, ct_full),
+    ]:
+        ect = cross_eval(full.pk, ct1, ct2)
+        assert cross_decrypt(sk1, sk2, ect) == m1 * m2 % params.p
+    # neither d nor q - d is short between a full-length and a short key
+    nxt, token = key_update(full, rng)
+    assert nxt.sk.s < 2**148 and min(token.d, params.q - token.d).bit_length() > 700
+    assert decrypt(nxt.sk, ct_update(params, ct_full, token, rng)) == m1
+    d = (full.sk.s - short.sk.s) % params.q  # short -> full, by a hand-made token
+    assert decrypt(full.sk, ct_update(params, ct_short, UpdateToken(short.pk.h, d), rng)) == m2
+
+
+@pytest.mark.parametrize("s_old, s_new", [(2**147 + 5, 2**140 + 3), (2**140 + 3, 2**147 + 5)])
+def test_ct_update_inverts_the_base_for_long_differences(monkeypatch, group712, s_old, s_new):
+    # with s' < s the difference d = s' - s mod q exceeds q/2, and the chain
+    # raises the inverted base to the short q - d instead
+    params = group712
+    epoch = short_epoch(params, s_old)
+    nxt, token = key_update(epoch, ScriptedRng(s_new))
+    assert nxt.sk.s == s_new and (token.d > params.q // 2) == (s_new < s_old)
+    rng = random.Random(43)
+    m = pow(params.g, rng.randrange(params.q), params.p)
+    ct = encrypt(epoch.pk, m, rng)
+    chains = count_calls(monkeypatch, "powmod2")
+    inverses = count_calls(monkeypatch, "inverse")
+    updated = ct_update(params, ct, token, rng)
+    assert len(inverses) == (s_new < s_old)
+    (_, x, _, y, _), = chains
+    assert max(x.bit_length(), y.bit_length()) <= 148
+    assert decrypt(nxt.sk, updated) == m
 
 
 def test_recover_next_key_examples(toy_group):
