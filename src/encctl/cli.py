@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import inspect
 import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -37,9 +38,35 @@ EXIT_NUMERIC = 3
 # in loop-demo ends (on pure-Python pow it takes about 15 s at 1,030 bits)
 MAX_KEY_BITS = 2048
 
-# libyaml scans and parses when PyYAML was built with it; the resolver and
-# constructor stay SafeLoader's, so a document yields the same objects
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The most memory one config-sized array may take.  It bounds every size a
+# config sets before anything is allocated: plant.n and plant.m (n x n and
+# n x m float matrices), attack.trials, loop.T (a T x (n+2m+1) float trace)
+# and attack-sim's N (one trial's N*(2n+m) floats of history)
+MAX_ARRAY_BYTES = 1 << 27
+_MAX_DIM = math.isqrt(MAX_ARRAY_BYTES // 8)  # 4096
+# a trial keeps about 650 bytes (tracemalloc) beyond its simulation: its
+# SeedSequence child, all spawned up front, and its CSV row; 1 KiB each
+_MAX_TRIALS = MAX_ARRAY_BYTES // 1024
+
+_PRESETS = resources.files("encctl") / "presets"
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """SafeLoader's resolver and constructor on libyaml's parser if PyYAML
+    has it, so documents yield the same objects, except that a key written
+    twice in one mapping is an error; merged "<<" keys may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag in self.yaml_constructors:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 class ConfigError(Exception):
@@ -48,14 +75,6 @@ class ConfigError(Exception):
 
 def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
-
-
-def _get(block: dict, path: str, key: str, required: bool = True, default=None):
-    if key not in block:
-        if required:
-            _fail(f"{path}.{key}", "missing required field")
-        return default
-    return block[key]
 
 
 def _finite(value, path: str) -> float:
@@ -84,20 +103,27 @@ def _nonneg(value, path: str) -> float:
     return value
 
 
-def _positive_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        _fail(path, f"expected a positive integer, got {value!r}")
-    return value
+def _ints(lo: int, hi: float = math.inf):
+    def convert(value, path: str) -> int:
+        if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
+            _fail(path, f"expected an integer in [{lo}, {hi}], got {value!r}")
+        return value
+
+    return convert
+
+
+def _sample_sizes(value, path: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        _fail(path, "must be a nonempty list of sample sizes")
+    size = _ints(2)
+    return tuple(size(N, path) for N in value)
 
 
 @contextlib.contextmanager
 def _sized_by(path: str):
-    """Prefix a MemoryError or OverflowError raised inside with ``path``,
-    the config field whose size caused it; it stays a numerical failure."""
+    """Name the config field ``path`` in an OverflowError raised inside, still exit 3."""
     try:
         yield
-    except MemoryError as exc:
-        raise MemoryError(f"{path}: {exc}") from exc
     except OverflowError as exc:
         raise OverflowError(f"{path}: {exc}") from exc
 
@@ -105,8 +131,7 @@ def _sized_by(path: str):
 def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     """Scalars become value * I (rectangular identity); lists are checked."""
     if isinstance(value, (int, float)):
-        with _sized_by(path):
-            return _finite(value, path) * np.eye(rows, cols)
+        return _finite(value, path) * np.eye(rows, cols)
     try:
         M = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -118,163 +143,136 @@ def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class PlantBlock:
-    n: int
-    m: int
-    sigma_w2: float
-    sigma_x2: float
-    A: np.ndarray | None
-    B: np.ndarray | None
-    psi_u: np.ndarray | None
-    psi_w: np.ndarray | None
+def _within_budget(path: str, floats: int) -> None:
+    if 8 * floats > MAX_ARRAY_BYTES:
+        _fail(path, f"needs {floats} floats, above the {MAX_ARRAY_BYTES}-byte array budget")
 
 
-@dataclass(frozen=True)
-class AttackBlock:
-    sigma_u2: float | None
-    r_sigma: float | None
-    n_grid: tuple[int, ...]
-    trials: int
-    seed: int
+# Every config field, once: section -> field -> (converter, default), in
+# parse order.  A converter takes (value, path); a pair of plant field
+# names stands for _matrix with that shape, so plant.n and plant.m come
+# first.  A field given as null takes its default; one whose default is
+# ... must be given.  Rules across fields follow in parse_config.
+_SCHEMA = {
+    "plant": {
+        "n": (_ints(1, _MAX_DIM), ...),
+        "m": (_ints(1, _MAX_DIM), ...),
+        "sigma_w2": (_nonneg, ...),
+        "sigma_x2": (_nonneg, ...),
+        "A": (("n", "n"), None),
+        "B": (("n", "m"), None),
+        "psi_u": (("n", "n"), None),
+        "psi_w": (("n", "n"), None),
+    },
+    "attack": {
+        "sigma_u2": (_positive, None),
+        "r_sigma": (_positive, None),
+        "n_grid": (_sample_sizes, ...),
+        "trials": (_ints(1, _MAX_TRIALS), 1),
+        "seed": (_ints(0), 0),
+    },
+    "requirement": {
+        "gamma_c": (_positive, ...),
+        "tau_c": (_positive, ...),
+        "upsilon": (_positive, ...),
+    },
+    "codec": {
+        "delta": (_positive, ...),
+        "value_bound": (_positive, ...),
+        "key_bits": (_ints(16, MAX_KEY_BITS), ...),
+    },
+    "loop": {
+        "T": (_ints(1), ...),
+        "phi": (("m", "n"), ...),
+    },
+}
+
+# a frozen record type per section; RunConfig holds one per section given
+_SECTIONS = {
+    name: security_design.SecurityRequirement if name == "requirement"
+    else make_dataclass(f"{name.title()}Block", fields, frozen=True)
+    for name, fields in _SCHEMA.items()
+}
+PlantBlock, AttackBlock, _, CodecBlock, LoopBlock = _SECTIONS.values()
+RunConfig = make_dataclass("RunConfig", [(s, _SECTIONS[s], None) for s in _SCHEMA], frozen=True)
 
 
-@dataclass(frozen=True)
-class CodecBlock:
-    delta: float
-    value_bound: float
-    key_bits: int
-
-
-@dataclass(frozen=True)
-class LoopBlock:
-    T: int
-    phi: np.ndarray
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    plant: PlantBlock | None = None
-    attack: AttackBlock | None = None
-    requirement: security_design.SecurityRequirement | None = None
-    codec: CodecBlock | None = None
-    loop: LoopBlock | None = None
-
-
-def _parse_plant(block: dict) -> PlantBlock:
-    n = _positive_int(_get(block, "plant", "n"), "plant.n")
-    m = _positive_int(_get(block, "plant", "m"), "plant.m")
-    sigma_w2 = _nonneg(_get(block, "plant", "sigma_w2"), "plant.sigma_w2")
-    sigma_x2 = _nonneg(_get(block, "plant", "sigma_x2"), "plant.sigma_x2")
-    A = block.get("A")
-    B = block.get("B")
-    if (A is None) != (B is None):
-        _fail("plant.A", "A and B must be given together")
-    if A is not None:
-        A = _matrix(A, n, n, "plant.A")
-        B = _matrix(B, n, m, "plant.B")
-        if security_design.spectral_radius(A) >= 1.0:
-            _fail("plant.A", "spectral radius must be below 1")
-    psi_u = block.get("psi_u")
-    psi_w = block.get("psi_w")
-    if psi_u is not None:
-        psi_u = _matrix(psi_u, n, n, "plant.psi_u")
-    if psi_w is not None:
-        psi_w = _matrix(psi_w, n, n, "plant.psi_w")
-    if A is None and (psi_u is None or psi_w is None):
-        _fail("plant", "needs either A and B or explicit psi_u and psi_w")
-    return PlantBlock(n, m, sigma_w2, sigma_x2, A, B, psi_u, psi_w)
-
-
-def _parse_attack(block: dict) -> AttackBlock:
-    sigma_u2 = block.get("sigma_u2")
-    r_sigma = block.get("r_sigma")
-    if (sigma_u2 is None) == (r_sigma is None):
-        _fail("attack.r_sigma", "give exactly one of sigma_u2 and r_sigma")
-    if sigma_u2 is not None:
-        sigma_u2 = _positive(sigma_u2, "attack.sigma_u2")
-    if r_sigma is not None:
-        r_sigma = _positive(r_sigma, "attack.r_sigma")
-    grid = _get(block, "attack", "n_grid")
-    if not isinstance(grid, (list, tuple)) or not grid:
-        _fail("attack.n_grid", "must be a nonempty list of sample sizes")
-    grid = tuple(_positive_int(N, "attack.n_grid") for N in grid)
-    if any(N < 2 for N in grid):
-        _fail("attack.n_grid", "sample sizes must be at least 2")
-    trials = _positive_int(_get(block, "attack", "trials", required=False, default=1), "attack.trials")
-    seed = _get(block, "attack", "seed", required=False, default=0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        _fail("attack.seed", f"expected a nonnegative integer, got {seed!r}")
-    return AttackBlock(sigma_u2, r_sigma, grid, trials, seed)
-
-
-def _parse_requirement(block: dict) -> security_design.SecurityRequirement:
-    return security_design.SecurityRequirement(
-        gamma_c=_positive(_get(block, "requirement", "gamma_c"), "requirement.gamma_c"),
-        tau_c=_positive(_get(block, "requirement", "tau_c"), "requirement.tau_c"),
-        upsilon=_positive(_get(block, "requirement", "upsilon"), "requirement.upsilon"),
-    )
-
-
-def _parse_codec(block: dict) -> CodecBlock:
-    key_bits = _positive_int(_get(block, "codec", "key_bits"), "codec.key_bits")
-    if not 16 <= key_bits <= MAX_KEY_BITS:
-        _fail("codec.key_bits", f"must be between 16 and {MAX_KEY_BITS}, got {key_bits}")
-    delta = _positive(_get(block, "codec", "delta"), "codec.delta")
-    value_bound = _positive(_get(block, "codec", "value_bound"), "codec.value_bound")
-    # any generated modulus has p >= 2^(key_bits-1), so this guarantees the
-    # codec's product wrap-safety condition (value_bound/delta)^2 < p/2.
-    # levels*levels goes to inf instead of raising, and comparing it with
-    # an int is exact, so neither side overflows at any key length
-    levels = value_bound / delta
-    if levels * levels >= 2 ** (key_bits - 2):
-        _fail(
-            "codec.value_bound",
-            "(value_bound/delta)^2 must stay below 2^(key_bits-2); "
-            "raise key_bits or coarsen delta",
-        )
-    if levels >= MAX_LEVELS:
-        _fail(
-            "codec.delta",
-            "value_bound/delta must stay below 2^53, the float precision of "
-            "quantization; coarsen delta",
-        )
-    return CodecBlock(delta=delta, value_bound=value_bound, key_bits=key_bits)
-
-
-def _parse_loop(block: dict, plant: PlantBlock | None) -> LoopBlock:
-    T = _positive_int(_get(block, "loop", "T"), "loop.T")
-    if plant is None:
-        _fail("plant", "loop block needs a plant block")
-    phi = _matrix(_get(block, "loop", "phi"), plant.m, plant.n, "loop.phi")
-    return LoopBlock(T=T, phi=phi)
+def _parse_section(name: str, block: dict, plant: dict) -> dict:
+    """Convert one section's fields by the schema.  The plant section's
+    fields go into ``plant``, whose n and m shape every matrix."""
+    if not isinstance(block, dict):
+        _fail(name, f"expected a mapping of fields, got {block!r}")
+    schema = _SCHEMA[name]
+    for key in block:
+        if key not in schema:
+            _fail(f"{name}.{key}", f"unknown field; known fields: {', '.join(schema)}")
+    fields = plant if name == "plant" else {}
+    for key, (convert, default) in schema.items():
+        path = f"{name}.{key}"
+        value = block.get(key)
+        if value is None:
+            if default is ...:
+                _fail(path, "missing required field")
+            fields[key] = default
+        elif isinstance(convert, tuple):
+            fields[key] = _matrix(value, plant[convert[0]], plant[convert[1]], path)
+        else:
+            fields[key] = convert(value, path)
+    return fields
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed YAML document into a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a mapping of sections")
-    known = {"plant", "attack", "requirement", "codec", "loop"}
-    unknown = set(doc) - known
+    unknown = set(doc) - _SCHEMA.keys()
     if unknown:
         raise ConfigError(f"config: unknown sections {sorted(map(str, unknown))}")
-    for name, block in doc.items():
-        if not isinstance(block, dict):
-            _fail(name, f"expected a mapping of fields, got {block!r}")
-    plant = _parse_plant(doc["plant"]) if "plant" in doc else None
-    return RunConfig(
-        plant=plant,
-        attack=_parse_attack(doc["attack"]) if "attack" in doc else None,
-        requirement=_parse_requirement(doc["requirement"]) if "requirement" in doc else None,
-        codec=_parse_codec(doc["codec"]) if "codec" in doc else None,
-        loop=_parse_loop(doc["loop"], plant) if "loop" in doc else None,
-    )
+    if "loop" in doc and "plant" not in doc:
+        _fail("plant", "loop block needs a plant block")
+    plant = {}
+    cfg = RunConfig(**{
+        name: _SECTIONS[name](**_parse_section(name, doc[name], plant))
+        for name in _SCHEMA if name in doc
+    })
+
+    if cfg.plant is not None:
+        A, B = cfg.plant.A, cfg.plant.B
+        if (A is None) != (B is None):
+            _fail("plant.A", "A and B must be given together")
+        if A is not None and security_design.spectral_radius(A) >= 1.0:
+            _fail("plant.A", "spectral radius must be below 1")
+        if A is None and (cfg.plant.psi_u is None or cfg.plant.psi_w is None):
+            _fail("plant", "needs either A and B or explicit psi_u and psi_w")
+    if cfg.attack is not None and (cfg.attack.sigma_u2 is None) == (cfg.attack.r_sigma is None):
+        _fail("attack.r_sigma", "give exactly one of sigma_u2 and r_sigma")
+    if cfg.codec is not None:
+        # any generated modulus has p >= 2^(key_bits-1), so this guarantees
+        # the codec's product wrap-safety condition (value_bound/delta)^2 <
+        # p/2. levels*levels goes to inf instead of raising, and comparing
+        # it with an int is exact, so neither side overflows at any key length
+        levels = cfg.codec.value_bound / cfg.codec.delta
+        if levels * levels >= 2 ** (cfg.codec.key_bits - 2):
+            _fail(
+                "codec.value_bound",
+                "(value_bound/delta)^2 must stay below 2^(key_bits-2); "
+                "raise key_bits or coarsen delta",
+            )
+        if levels >= MAX_LEVELS:
+            _fail(
+                "codec.delta",
+                "value_bound/delta must stay below 2^53, the float precision of "
+                "quantization; coarsen delta",
+            )
+    if cfg.loop is not None:
+        _within_budget("loop.T", cfg.loop.T * (cfg.plant.n + 2 * cfg.plant.m + 1))
+    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.load(fh, Loader=_YAML_LOADER)
+            doc = yaml.load(fh, Loader=_Loader)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:
@@ -284,17 +282,17 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(doc)
 
 
-def preset_names() -> list[str]:
-    root = resources.files("encctl") / "presets"
-    return sorted(p.name[: -len(".yaml")] for p in root.iterdir() if p.name.endswith(".yaml"))
+@functools.cache  # the shipped presets; load_preset checks every name against them
+def preset_names() -> tuple[str, ...]:
+    names = (p.name for p in _PRESETS.iterdir())
+    return tuple(sorted(n[: -len(".yaml")] for n in names if n.endswith(".yaml")))
 
 
 def load_preset(name: str) -> RunConfig:
-    root = resources.files("encctl") / "presets"
-    candidate = root / f"{name}.yaml"
-    if not candidate.is_file():
-        raise ConfigError(f"config: unknown preset {name!r}; available: {preset_names()}")
-    return parse_config(yaml.load(candidate.read_text(encoding="utf-8"), Loader=_YAML_LOADER))
+    if name not in preset_names():
+        _fail("config", f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    text = (_PRESETS / f"{name}.yaml").read_text(encoding="utf-8")
+    return parse_config(yaml.load(text, Loader=_Loader))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +310,7 @@ def _gramian_pair(plant: PlantBlock) -> security_design.GramianPair:
     """Explicit Gramian targets win over values derived from (A, B)."""
     if plant.psi_u is not None and plant.psi_w is not None:
         return security_design.GramianPair(plant.psi_u, plant.psi_w)
-    pair = security_design._gramians(plant.A, plant.B)  # _parse_plant checked rho < 1
+    pair = security_design._gramians(plant.A, plant.B)  # parse_config checked rho < 1
     return security_design.GramianPair(
         plant.psi_u if plant.psi_u is not None else pair.Psi_u,
         plant.psi_w if plant.psi_w is not None else pair.Psi_w,
@@ -419,18 +417,19 @@ def cmd_attack_sim(cfg: RunConfig, out: Path, seed: int) -> int:
             "attack.n_grid",
             f"N={min(attack.n_grid)} below the identifiability floor n+m+1={floor}",
         )
+    largest = max(attack.n_grid)
+    _within_budget(f"attack.n_grid: N={largest}", largest * (2 * plant.n + plant.m))
     pair = _gramian_pair(plant)
     sigma_u2 = _sigma_u2(cfg)
     trial_rows = []
     summary_rows = []
     for j, N in enumerate(attack.n_grid):
-        with _sized_by(f"attack.n_grid: N={N}"):
-            atk = identification.AttackConfig(sigma_u2=sigma_u2, N=N)
-            result = identification.monte_carlo_error(model, atk, attack.trials, seed + j)
-            gamma = security_design.sic_full(
-                plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
-                pair.Psi_u, pair.Psi_w, N,
-            )
+        atk = identification.AttackConfig(sigma_u2=sigma_u2, N=N)
+        result = identification.monte_carlo_error(model, atk, attack.trials, seed + j)
+        gamma = security_design.sic_full(
+            plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
+            pair.Psi_u, pair.Psi_w, N,
+        )
         for i, eps in enumerate(result.epsilons):
             ok = not np.isnan(eps)
             trial_rows.append([N, i, repr(float(eps)) if ok else "", "ok" if ok else "rank_deficient"])

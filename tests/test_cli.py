@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import os
+import re
+import string
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +163,12 @@ def _latin1_config(tmp_path):
     return path
 
 
+def _outside_preset(tmp_path):
+    # a valid config outside the shipped presets, named relative to them
+    path = write(tmp_path, DESIGN_CONFIG, name="outside.yaml")
+    return os.path.relpath(path.with_suffix(""), str(resources.files("encctl") / "presets"))
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -184,6 +196,10 @@ def _latin1_config(tmp_path):
         pytest.param(
             lambda d: ["design", "--config", str(_latin1_config(d))], "config", id="config-not-utf8"
         ),
+        pytest.param(
+            lambda d: ["design", "--preset", _outside_preset(d)], "config",
+            id="preset-outside-presets",
+        ),
     ],
 )
 def test_command_line_boundary_exits_2(tmp_path, capsys, argv, field):
@@ -195,7 +211,8 @@ def test_command_line_boundary_exits_2(tmp_path, capsys, argv, field):
     assert err.startswith(f"error: {field}: ")
     assert "Traceback" not in err
     if field == "config":
-        assert argv[argv.index("--config") + 1] in err
+        source = "--config" if "--config" in argv else "--preset"
+        assert argv[argv.index(source) + 1] in err
 
 
 def test_complexity_curve_schema_and_ordering(tmp_path):
@@ -363,6 +380,10 @@ def test_loop_demo_smoke(tmp_path, capsys):
         pytest.param("loop-demo", ("codec", "delta"), True, id="delta-bool"),
         # DESIGN_CONFIG gives sigma_u2; both of the two is ambiguous
         pytest.param("design", ("attack", "r_sigma"), 100.0, id="sigma_u2-and-r_sigma"),
+        # misspelt or unknown fields would otherwise take the default
+        pytest.param("design", ("attack", "trails"), 50, id="attack-trails"),
+        pytest.param("design", ("plant", "psi_U"), 0.5, id="plant-psi_U"),
+        pytest.param("design", ("requirement", "extra"), 1.0, id="requirement-extra"),
     ],
 )
 def test_bad_field_is_config_error(tmp_path, capsys, command, path, value):
@@ -391,9 +412,9 @@ def test_zero_variances_are_numerical_failure(tmp_path, capsys):
 GRAMIAN_PLANT = DESIGN_CONFIG.replace("  sigma_x2: 1.0\n", "  sigma_x2: 1.0\n  psi_u: 2.0\n  psi_w: 2.0\n")
 
 
-# Each size is beyond float range or beyond what a 64-bit Linux process can
-# map (2^47 bytes), so the conversion or the allocation fails at once and no
-# memory is touched.
+# A sample size beyond float range fails at once in the first float
+# conversion; complexity-curve allocates nothing per N, so no memory is
+# touched.
 @pytest.mark.parametrize(
     "command, text, field",
     [
@@ -401,19 +422,6 @@ GRAMIAN_PLANT = DESIGN_CONFIG.replace("  sigma_x2: 1.0\n", "  sigma_x2: 1.0\n  p
             "complexity-curve", SIM_CONFIG.replace("[10, 20]", f"[10, {'9' * 400}]"),
             "attack.n_grid: N=999",
             id="n_grid-beyond-float-range",
-        ),
-        pytest.param(
-            "design", GRAMIAN_PLANT.replace("  n: 2\n", "  n: 100000000\n"), "plant.A: ",
-            id="plant-n-beyond-memory",
-        ),
-        pytest.param(
-            "design",
-            GRAMIAN_PLANT.replace("  n: 2\n", "  n: 100000000\n").replace("  A: 0.5\n  B: 1.0\n", ""),
-            "plant.psi_u: ", id="gramian-plant-n-beyond-memory",
-        ),
-        pytest.param(
-            "attack-sim", SIM_CONFIG.replace("[10, 20]", "[10000000000000]"),
-            "attack.n_grid: N=10000000000000: ", id="n_grid-beyond-memory",
         ),
     ],
 )
@@ -425,6 +433,71 @@ def test_outsized_value_is_numerical_failure(tmp_path, capsys, command, text, fi
     assert err.startswith(f"numerical failure: {field}")
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+# Each size is one step beyond cli.MAX_ARRAY_BYTES (2^27 bytes per array) or
+# far beyond memory, and is rejected before anything of its size is
+# allocated.
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        pytest.param(
+            "design", GRAMIAN_PLANT.replace("  n: 2\n", "  n: 100000000\n"), "plant.n: ",
+            id="plant-n-beyond-memory",
+        ),
+        pytest.param(
+            "design",
+            GRAMIAN_PLANT.replace("  n: 2\n", "  n: 100000000\n").replace("  A: 0.5\n  B: 1.0\n", ""),
+            "plant.n: ", id="gramian-plant-n-beyond-memory",
+        ),
+        pytest.param(
+            "attack-sim", SIM_CONFIG.replace("[10, 20]", "[10000000000000]"),
+            "attack.n_grid: N=10000000000000: ", id="n_grid-beyond-memory",
+        ),
+        pytest.param(
+            "design", GRAMIAN_PLANT.replace("  n: 2\n", "  n: 4097\n"), "plant.n: ",
+            id="plant-n-above-bound",
+        ),
+        pytest.param(
+            "design", GRAMIAN_PLANT.replace("  m: 2\n", "  m: 4097\n"), "plant.m: ",
+            id="plant-m-above-bound",
+        ),
+        # one trial of N = 2,796,203 keeps N*(2n+m) = 16,777,218 floats, two above 2^24
+        pytest.param(
+            "attack-sim", SIM_CONFIG.replace("[10, 20]", "[10, 2796203]"),
+            "attack.n_grid: N=2796203: ", id="n_grid-above-bound",
+        ),
+        pytest.param(
+            "attack-sim", SIM_CONFIG.replace("trials: 3", "trials: 131073"), "attack.trials: ",
+            id="trials-above-bound",
+        ),
+        pytest.param(
+            "attack-sim", SIM_CONFIG.replace("trials: 3", "trials: 100000000"), "attack.trials: ",
+            id="trials-beyond-memory",
+        ),
+        # T*(n+2m+1) = 2,396,746 * 7 trace floats, above 2^24
+        pytest.param(
+            "loop-demo", LOOP_CONFIG.replace("T: 1\n", "T: 2396746\n"), "loop.T: ",
+            id="loop-T-above-bound",
+        ),
+    ],
+)
+def test_outsized_value_is_config_error(tmp_path, capsys, command, text, field):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write(tmp_path, text)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}")
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sizes_at_the_bound_parse():
+    # parsing allocates nothing of these sizes: trials and T are counts
+    doc = yaml.safe_load(SIM_CONFIG)
+    doc["attack"]["trials"] = 131072
+    doc["loop"] = {"T": 2396745, "phi": -0.3}
+    cfg = parse_config(doc)
+    assert (cfg.attack.trials, cfg.loop.T) == (131072, 2396745)
 
 
 @pytest.mark.parametrize(
@@ -464,9 +537,9 @@ NEEDS = {
 
 
 @st.composite
-def documents(draw, command):
-    """A well-formed config for ``command`` with up to three fields or
-    sections replaced by junk, deleted, or added."""
+def documents(draw, command, well_formed=False):
+    """A well-formed config for ``command``; unless ``well_formed``, with up
+    to three fields or sections replaced by junk, deleted, or added."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
 
     def num(lo, hi):
@@ -493,6 +566,8 @@ def documents(draw, command):
         "loop": {"T": draw(st.integers(1, 5)), "phi": mat(m, n, -1, 1)},
     }
     doc = {name: doc[name] for name in SECTIONS if name in NEEDS[command] or draw(st.booleans())}
+    if well_formed:
+        return doc
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from(SECTIONS + ("extra", 0)))
         block = doc.get(name)
@@ -525,7 +600,7 @@ def test_config_fuzz_exits_cleanly(fuzz_dir, command):
 
 def _same_objects(text):
     # repr tells 1 from 1.0 and True, and nan equals itself there
-    assert repr(yaml.load(text, Loader=cli._YAML_LOADER)) == repr(yaml.safe_load(text))
+    assert repr(yaml.load(text, Loader=cli._Loader)) == repr(yaml.safe_load(text))
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -538,3 +613,59 @@ def test_loader_matches_safe_load_on_presets(name):
 @given(doc=st.sampled_from(sorted(NEEDS)).flatmap(documents))
 def test_loader_matches_safe_load_on_fuzz_documents(doc):
     _same_objects(yaml.safe_dump(doc))
+
+
+FIELD_NAMES = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_unknown_field_is_config_error(fuzz_dir, data):
+    command = data.draw(st.sampled_from(sorted(NEEDS)))
+    doc = data.draw(documents(command, well_formed=True))
+    section = data.draw(st.sampled_from(sorted(doc)))
+    key = data.draw(FIELD_NAMES.filter(lambda k: k not in cli._SCHEMA[section]))
+    doc[section][key] = data.draw(JUNK)
+    path = fuzz_dir / "unknown.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([command, "--config", str(path), "--out", str(fuzz_dir)]) == 2
+    assert err.getvalue().startswith(f"error: {section}.{key}: ")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        pytest.param(
+            DESIGN_CONFIG + "requirement:\n  gamma_c: 1.0\n", "'requirement'", id="section",
+        ),
+        pytest.param(
+            SIM_CONFIG.replace("  trials: 3\n", "  trials: 3\n  trials: 50\n"), "'trials'",
+            id="field",
+        ),
+    ],
+)
+def test_duplicate_key_is_config_error(tmp_path, capsys, text, key):
+    path = write(tmp_path, text)
+    assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: invalid YAML in {path}: ")
+    assert f"found duplicate key {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_loader_matches_safe_load_on_special_keys():
+    # a key that overrides a "<<" merge is no duplicate, and "=" is a plain key
+    _same_objects("base: &b {trials: 3}\nother:\n  <<: *b\n  trials: 5\n")
+    _same_objects("=: 1\n")
+
+
+def test_readme_config_format_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config format\n\n```yaml\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_config(yaml.load(block, Loader=cli._Loader))
+    assert all(getattr(cfg, name) is not None for name in cli._SCHEMA)
+    for name, fields in cli._SCHEMA.items():
+        for field in fields:
+            assert re.search(rf"\b{field}\b", block), f"README does not document {name}.{field}"
