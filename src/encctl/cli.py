@@ -143,6 +143,19 @@ def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     return M
 
 
+def _gramian(M: np.ndarray, path: str) -> None:
+    """Reject an explicit Gramian target that is not symmetric positive
+    semidefinite; asymmetry and negative eigenvalues up to 1e-9 * n times
+    the largest |entry| are rounding, not a defect."""
+    tol = 1e-9 * np.abs(M).max() * len(M)
+    if np.abs(M - M.T).max() > tol or np.linalg.eigvalsh(M).min() < -tol:
+        _fail(
+            path,
+            f"must be symmetric positive semidefinite, to within {tol:.3g} "
+            "(1e-9 * n * the largest |entry|)",
+        )
+
+
 def _within_budget(path: str, floats: int) -> None:
     if 8 * floats > MAX_ARRAY_BYTES:
         _fail(path, f"needs {floats} floats, above the {MAX_ARRAY_BYTES}-byte array budget")
@@ -244,6 +257,10 @@ def parse_config(doc: dict) -> RunConfig:
             _fail("plant.A", "spectral radius must be below 1")
         if A is None and (cfg.plant.psi_u is None or cfg.plant.psi_w is None):
             _fail("plant", "needs either A and B or explicit psi_u and psi_w")
+        for name in ("psi_u", "psi_w"):
+            psi = getattr(cfg.plant, name)
+            if psi is not None:
+                _gramian(psi, f"plant.{name}")
     if cfg.attack is not None and (cfg.attack.sigma_u2 is None) == (cfg.attack.r_sigma is None):
         _fail("attack.r_sigma", "give exactly one of sigma_u2 and r_sigma")
     if cfg.codec is not None:

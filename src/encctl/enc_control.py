@@ -16,13 +16,12 @@ holds every first component it sent and strips the masks by position,
 alpha*beta gain masks once per run and beta state masks per step.  A
 step costs no variable-base exponentiation, 2*beta + 2*alpha*beta/T
 table powers plus one for the key rotation, and 1 + alpha/T
-extended-Euclid inverses, and moves 2*beta + alpha*beta group elements.
-At the designed 712 bits s and r are 148-bit draws
-(``GroupParams.exponent_bits``), so every table power, g^(s*r)
-included, reads an exponent of at most 296 bits, the length the
-generator's comb is laid out for.  On the builtin ``pow`` a 4x4 step at
-T = 10 then takes about 2.1 ms (the benchmark's loop_k712, median of
-ten runs on one core of a 2-vCPU Xeon VM, Python 3.11).
+extended-Euclid inverses, and moves 2*beta + alpha*beta group elements:
+a run of T steps makes 1 + 2*(alpha*beta + beta*T) + T ``g_pow`` calls
+and alpha + T ``inverses`` calls.  At the designed 712 bits s and r are
+148-bit draws (``GroupParams.exponent_bits``), so each g^r and g^s reads
+at most 19 rows of the generator's table and each g^(s*r) at most 37.
+The benchmark's loop_k712 workload gives the time per step.
 
 A plaintext twin (``run_plain_loop``) consumes the identical noise stream
 so encrypted-versus-plain deviations isolate quantization effects.

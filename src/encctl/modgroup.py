@@ -18,18 +18,17 @@ Big integers are Python's own, and the generic exponentiation is the
 builtin ``pow``.  Cheaper paths replace it where the exponent or base
 allows:
 
-* ``g_pow`` raises the fixed generator through a Lim-Lee comb built once
-  per group (Lim & Lee, CRYPTO '94; HAC Alg. 14.113), laid out for the
-  2L-bit products s*r of two drawn exponents (q's bit length where L is
-  unset).  The exponent's bits are laid out in COMB_ROWS = 11 rows, and
-  the comb's columns are split into COMB_TABLES = 4 blocks, one table of
-  2^11 residues each.  A 712-bit group's tables hold 4 x 2048 residues,
-  about 1.0 MiB built in under 0.1 s, and ``g^e`` for e below 2^296
-  costs 6 squarings and at most 27 modular products, where ``pow``
-  needs about 850 on a full-length exponent.  Longer exponents, such as
-  a full-length key given from outside, go to ``pow``.  Small groups
-  build only the tables whose columns exist.  Each group keeps its own
-  comb, built on its first ``g_pow`` and freed with the group.
+* ``g_pow`` raises the fixed generator through a table built once per
+  group, one row per exponent byte (Brickell, Gordon, McCurley & Wilson,
+  EUROCRYPT '92): row i holds g^(j*256^i) for j = 0..255, so g^e is the
+  product of one entry per nonzero byte of e, read from the rows e has.
+  The rows cover the 2L-bit products s*r of two drawn exponents (q's bit
+  length where L is unset): a 712-bit group's 37 rows hold 9472
+  residues, about 1.2 MiB, and ``g^e`` costs at most 19 modular products
+  for an L = 148-bit e and 37 for a 296-bit one, where ``pow`` needs
+  about 850 on a full-length exponent.  Longer exponents, such as a
+  full-length key given from outside, go to ``pow``.  Each group keeps
+  its own table, built on its first ``g_pow`` and freed with the group.
 * ``powmod2`` computes a^x * b^y as one exponentiation chain that reads
   both exponents' 2-bit windows together (Shamir's trick; HAC Alg.
   14.88), about two thirds of the cost of two ``pow`` calls.
@@ -53,7 +52,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .security_design import gnfs_ln_complexity
 
@@ -94,9 +92,6 @@ MILLER_RABIN_ROUNDS = 40  # error probability < 4^-40 < 2^-80
 
 _SIEVE_BOUND = 2000
 
-COMB_ROWS = 11  # exponent bits combined into one index of the generator's comb
-COMB_TABLES = 4  # comb tables, 2^COMB_ROWS residues each
-
 
 def _small_primes(bound: int) -> list[int]:
     flags = bytearray([1]) * bound
@@ -114,13 +109,6 @@ class GroupGenerationError(RuntimeError):
     """No safe prime found within the attempt budget."""
 
 
-class _Comb(NamedTuple):
-    schedule: tuple  # per squaring: the (table, start of its index slice) pairs
-    columns: int  # bits between the exponent bits of one index
-    bound: int  # 2^(rows*columns): the exponents the comb covers lie below it
-    bits_format: str  # the exponent as a zero-padded bit string of rows*columns
-
-
 @dataclass(frozen=True)
 class GroupParams:
     """Public parameters (p, q, g) of an order-q subgroup of Z_p^*.
@@ -130,7 +118,7 @@ class GroupParams:
     every group whose q is prime: with cofactor 2, a g != 1 with g^q = 1
     mod p then exists only if p is prime too (the n - 1 primality test,
     HAC §4.3.2), and any other cofactor is tested by a^q itself.
-    Immutable and safe to share; the generator's comb is built on the
+    Immutable and safe to share; the generator's table is built on the
     group's first ``g_pow`` and kept with it, and ``exponent_bits`` is
     derived from p on first use.
     """
@@ -161,40 +149,21 @@ class GroupParams:
         return bits if 2 * bits < self.q.bit_length() else None
 
     @functools.cached_property
-    def _comb(self) -> _Comb:
-        """The generator's Lim-Lee comb: an exponent of t bits, 2L with L
-        the ``exponent_bits`` or q's bit length when L is unset, is laid
-        out in ``rows`` rows of ``columns`` bits, and the columns in blocks
-        of ``block``.  Table j holds, at index i, the product of
-        g^(2^(k*columns + j*block)) over the bits k set in i, so one lookup
-        covers the bits of column j*block of every row; squaring ``block``
-        times brings in the other columns of each block."""
+    def _table(self) -> tuple[tuple[int, ...], ...]:
+        """The generator's byte table: row i holds g^(j*256^i) at index j,
+        one row per byte of a 2L-bit exponent for L the ``exponent_bits``,
+        or of an exponent as long as q where L is unset."""
         p = self.p
-        t = 2 * self.exponent_bits if self.exponent_bits else self.q.bit_length()
-        rows = min(COMB_ROWS, t)
-        columns = -(-t // rows)
-        block = -(-columns // COMB_TABLES)
-        powers = [self.g]  # g^(2^i), one squaring chain
-        for _ in range(1, rows * columns):
-            powers.append(powers[-1] * powers[-1] % p)
-        tables = []
-        for first in range(0, columns, block):  # only tables whose columns exist
-            table = [1]
-            for k in range(rows):
-                base = powers[k * columns + first]
-                table += [v * base % p for v in table]
-            tables.append(tuple(table))
-        # column c's index is the bits c, c + columns, ... of the exponent:
-        # the slice from position columns - 1 - c of its big-endian bit string
-        schedule = tuple(
-            tuple(
-                (table, columns - 1 - j * block - s)
-                for j, table in enumerate(tables)
-                if j * block + s < columns
-            )
-            for s in reversed(range(block))
-        )
-        return _Comb(schedule, columns, 1 << rows * columns, f"0{rows * columns}b")
+        bits = 2 * self.exponent_bits if self.exponent_bits else self.q.bit_length()
+        rows = []
+        base = self.g  # g^(256^i)
+        for _ in range(-(-bits // 8)):
+            row = [1]
+            for _ in range(255):
+                row.append(row[-1] * base % p)
+            rows.append(tuple(row))
+            base = row[-1] * base % p
+        return tuple(rows)
 
 
 def is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
@@ -264,21 +233,19 @@ def g_pow(params: GroupParams, e: int) -> int:
     """g^e mod p for the group's generator, equal to ``powmod(g, e, p)``.
 
     The exponent is reduced mod q (g^q = 1 is checked by the GroupParams
-    constructor) and read through the generator's comb: one squaring per
-    column of a block, one table lookup and one modular product per
-    column.  A reduced exponent longer than the comb is ``powmod``'s.
+    constructor), and each nonzero byte b of it, the i-th from the least
+    significant, costs one lookup of row i's entry b and one modular
+    product.  A reduced exponent longer than the table is ``powmod``'s.
     """
-    p = params.p
-    schedule, columns, bound, bits_format = params._comb
+    table = params._table
     e %= params.q
-    if e >= bound:
-        return powmod(params.g, e, p)
-    bits = format(e, bits_format)
+    if e >> 8 * len(table):
+        return powmod(params.g, e, params.p)
+    p = params.p
     acc = 1
-    for step in schedule:
-        acc = acc * acc % p
-        for table, start in step:
-            acc = acc * table[int(bits[start::columns], 2)] % p
+    for row, b in zip(table, e.to_bytes(-(-e.bit_length() // 8), "little")):
+        if b:
+            acc = acc * row[b] % p
     return acc
 
 

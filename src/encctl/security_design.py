@@ -246,20 +246,6 @@ def is_secure(
     return not _breaking_is_fast(hi, lam, req)
 
 
-def _floor_log2(x: Fraction) -> int:
-    """Exact floor(log2(x)) for a positive rational."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    num, den = x.numerator, x.denominator
-
-    def at_least_pow2(k: int) -> bool:  # x >= 2^k
-        return num >= den << k if k >= 0 else num << -k >= den
-
-    # bit lengths pin floor(log2) to {diff - 1, diff}
-    k = num.bit_length() - den.bit_length()
-    return k if at_least_pow2(k) else k - 1
-
-
 def design_security_parameter(
     m: int,
     n: int,
@@ -273,8 +259,9 @@ def design_security_parameter(
     N* = floor((m+n) / (gamma_c [R_sigma (tr(Psi_u)+m) + tr(Psi_w)])) + 2
     lambda* = max(1, floor(log2(upsilon * tau_c / N*)) + 1)
 
-    Both floors are evaluated in exact rational arithmetic; binary floats
-    are carried in exactly, so results cannot flip from rounding near an
+    Both floors are evaluated in exact rational arithmetic, the second as
+    the bit length of floor(upsilon * tau_c / N*); binary floats are
+    carried in exactly, so results cannot flip from rounding near an
     integer boundary.  The formula gives lambda* <= 0 when upsilon * tau_c
     < N* / 2: breaking N* samples then outlasts tau_c at any level, so
     lambda* is clamped to 1, the least level ``deciphering_time`` accepts.
@@ -285,7 +272,7 @@ def design_security_parameter(
     if denom <= 0:
         raise ValueError("R_sigma and the Gramian traces must make the denominator positive")
     N_star = math.floor(Fraction(m + n) / denom) + 2
-    lam_star = max(1, _floor_log2(Fraction(req.upsilon) * Fraction(req.tau_c) / N_star) + 1)
+    lam_star = max(1, (Fraction(req.upsilon) * Fraction(req.tau_c) // N_star).bit_length())
     return N_star, lam_star
 
 

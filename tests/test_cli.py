@@ -400,6 +400,45 @@ def test_bad_field_is_config_error(tmp_path, capsys, command, path, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        # -1 cancels the input term of N*'s denominator: design would exit 0
+        # with N* = 1,000,002 and k* = 569
+        pytest.param("design", "psi_u", -1.0, id="psi_u-minus-one"),
+        pytest.param("design", "psi_u", -0.5, id="psi_u-negative"),
+        pytest.param("design", "psi_u", [[1.0, 5.0], [-5.0, 1.0]], id="psi_u-antisymmetric"),
+        pytest.param("complexity-curve", "psi_w", [[1.0, 2.0], [2.0, 1.0]], id="psi_w-indefinite"),
+        pytest.param("attack-sim", "psi_w", [[1.0, 0.0], [1e-6, 1.0]], id="psi_w-asymmetric"),
+    ],
+)
+def test_gramian_target_not_psd_is_config_error(tmp_path, capsys, command, field, value):
+    doc = yaml.safe_load(DESIGN_CONFIG)
+    doc["plant"].update(psi_u=2.0, psi_w=2.0)
+    doc["plant"][field] = value
+    path = write(tmp_path, yaml.safe_dump(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: plant.{field}: must be symmetric positive semidefinite")
+    assert "1e-9 * n * the largest |entry|" in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "psi_u",
+    [
+        pytest.param(0.0, id="zero"),
+        pytest.param([[1.0, 1.0], [1.0, 1.0]], id="singular"),
+        pytest.param([[2.0, 1.0], [1.0 + 1e-12, 2.0]], id="rounding-asymmetry"),
+    ],
+)
+def test_gramian_target_psd_is_designed(tmp_path, psi_u):
+    doc = yaml.safe_load(DESIGN_CONFIG)
+    doc["plant"].update(psi_u=psi_u, psi_w=2.0)
+    path = write(tmp_path, yaml.safe_dump(doc))
+    assert main(["design", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
 def test_zero_variances_are_numerical_failure(tmp_path, capsys):
     doc = yaml.safe_load(SIM_CONFIG)
     doc["plant"].update(sigma_w2=0.0, sigma_x2=0.0)
@@ -549,10 +588,14 @@ def documents(draw, command, well_formed=False):
         row = st.lists(st.floats(lo, hi), min_size=cols, max_size=cols)
         return draw(st.one_of(st.floats(lo, hi), st.lists(row, min_size=rows, max_size=rows)))
 
+    def gramian(n):  # c*I or M M^T: symmetric positive semidefinite
+        M = np.array(draw(st.lists(st.floats(-2, 2), min_size=n * n, max_size=n * n))).reshape(n, n)
+        return draw(st.one_of(st.floats(0, 4), st.just((M @ M.T).tolist())))
+
     plant = {"n": n, "m": m, "sigma_w2": num(0, 2), "sigma_x2": num(0, 2)}
     plant.update(A=mat(n, n, -0.45, 0.45), B=mat(n, m, -2, 2))
     if draw(st.booleans()):
-        plant.update(psi_u=mat(n, n, 0, 4), psi_w=mat(n, n, 0, 4))
+        plant.update(psi_u=gramian(n), psi_w=gramian(n))
     doc = {
         "plant": plant,
         "attack": {

@@ -377,9 +377,9 @@ def test_encrypted_loop_modexp_count(monkeypatch, cfg64):
     assert len(encodes) == encryptions  # each value encoded once
 
 
-def test_encrypted_loop_712_fits_the_comb(monkeypatch, group712):
-    # at 712 bits s and r are 148-bit draws, so every g^(s*r) is a table
-    # power of the 296-bit comb and the loop still makes no powmod; its
+def test_encrypted_loop_712_fits_the_table(monkeypatch, group712):
+    # at 712 bits s and r are 148-bit draws, so every g^(s*r) is a power
+    # read from the 296-bit table and the loop still makes no powmod; its
     # trace is the per-entry reference's, from the same key draws
     cfg = CodecConfig(group712, delta=1e-3, value_bound=1000.0)
     model, controller = sec6_plant(sigma_w2=0.01), ControllerParams(-0.3 * np.eye(4))

@@ -10,8 +10,6 @@ from hypothesis import example, given, strategies as st
 
 from encctl.cli import main
 from encctl.modgroup import (
-    COMB_ROWS,
-    COMB_TABLES,
     GroupGenerationError,
     GroupParams,
     g_pow,
@@ -139,49 +137,69 @@ def test_nearest_member_gap_bound_32_bit():
         assert abs(member - target) <= 64
 
 
-def comb_bits(params: GroupParams) -> int:
-    """The exponent bits the comb is laid out for: 2L for the group's
-    exponent_bits L, or q's bit length where L is unset."""
-    return 2 * params.exponent_bits if params.exponent_bits else params.q.bit_length()
+# the generator's table rows: one per byte of a 2L-bit exponent, or of q
+# where L is unset (q has 4 bits in the toy group and 63 in group64)
+TABLE_ROWS = {"toy_group": 1, "group64": 8, "group160": 19, "group712": 37}
 
 
-def comb_boundaries(params: GroupParams) -> list[int]:
-    """2^(i*a + j*b) for every row i, column block j and the last column,
-    with the comb's a columns in blocks of b, and the all-ones exponent
-    just below each."""
-    t = comb_bits(params)
-    rows = min(COMB_ROWS, t)
-    a = -(-t // rows)
-    b = -(-a // COMB_TABLES)
-    shifts = [i * a + c for i in range(rows) for c in [*range(0, a, b), a - 1]]
-    return [2**k for k in shifts] + [2**k - 1 for k in shifts] + [2**t - 1]
-
-
-@pytest.mark.parametrize("name", ["toy_group", "group64", "group160", "group712"])
+@pytest.mark.parametrize("name", TABLE_ROWS)
 def test_g_pow_matches_pow(name, request):
-    params = request.getfixturevalue(name)
+    # 2^(8i) and 2^(8i) - 1 are the first and last exponents that reach row i
+    params, rows = request.getfixturevalue(name), TABLE_ROWS[name]
     rng = random.Random(7)
-    t = comb_bits(params)
-    exps = [0, 1, 63, 64, params.q - 1, params.q, -1, 2**t, 2**t - 1] + comb_boundaries(params)
+    exps = [0, 1, 63, 64, params.q - 1, params.q, -1]
+    exps += [2 ** (8 * i) - d for i in range(rows + 1) for d in (0, 1)]
     exps += [rng.randrange(params.q) for _ in range(100)]
-    exps += [rng.randrange(2**t) for _ in range(100)]
+    exps += [rng.randrange(2 ** (8 * rows)) for _ in range(100)]
     for e in exps:
         assert g_pow(params, e) == pow(params.g, e, params.p), e
 
 
-def test_g_pow_beyond_the_comb_uses_pow(monkeypatch, group712):
-    # the comb covers the 296-bit products s*r of two 148-bit exponents;
-    # a reduced exponent longer than the comb, such as a full-length key
-    # given from outside, is one powmod
+def test_small_groups_build_small_tables(request):
+    for name, rows in TABLE_ROWS.items():
+        params = request.getfixturevalue(name)
+        g_pow(params, 1)
+        assert [len(row) for row in params._table] == [256] * rows, name
+
+
+def test_g_pow_beyond_the_table_uses_pow(monkeypatch, group712):
+    # the table covers the 296-bit products s*r of two 148-bit exponents;
+    # a reduced exponent at or past 2^296, such as a full-length key given
+    # from outside, costs exactly one powmod
     calls = count_calls(monkeypatch, "powmod")
-    bound = group712._comb.bound
-    assert comb_bits(group712) == 296 and bound == 2**297  # 11 rows of 27 columns
-    for e in (0, 2**296 - 1, 2**296, bound - 1):
+    for e in (0, 2**148 - 1, 2**296 - 1, group712.q + 5):
         assert g_pow(group712, e) == pow(group712.g, e, group712.p)
     assert calls == []
-    for e in (bound, group712.q - 1, -1, 2**710):
+    for e in (2**296, 2**297 - 1, group712.q - 1, -1, 2**710):
+        calls.clear()
         assert g_pow(group712, e) == pow(group712.g, e, group712.p)
-    assert len(calls) == 4
+        assert len(calls) == 1, e
+
+
+def test_short_exponents_read_the_low_rows(group712):
+    # an L = 148-bit draw has at most 19 bytes, so it reads at most the
+    # first 19 of the 37 rows, each at most once
+    reads = []
+
+    class CountedRow:
+        def __init__(self, i, row):
+            self.i, self.row = i, row
+
+        def __getitem__(self, b):
+            reads.append(self.i)
+            return self.row[b]
+
+    copy = GroupParams(group712.p, group712.q, group712.g)
+    vars(copy)["_table"] = tuple(CountedRow(i, row) for i, row in enumerate(group712._table))
+    L = group712.exponent_bits
+    rng = random.Random(14)
+    for e in [0, 1, 2 ** (L - 1), 2**L - 1] + [rng.getrandbits(L) for _ in range(50)]:
+        reads.clear()
+        assert g_pow(copy, e) == pow(group712.g, e, group712.p), e
+        assert len(reads) == len(set(reads)) <= 19 and all(i < 19 for i in reads), e
+    reads.clear()
+    g_pow(copy, 2**296 - 1)
+    assert reads == list(range(37))
 
 
 def sized_group(bits: int) -> GroupParams:
@@ -224,19 +242,6 @@ def test_g_pow_law(law_group, e):
     params = law_group
     for x in (e, params.q - 1 - e % params.q, e * params.q):
         assert g_pow(params, x) == pow(params.g, x, params.p), x
-
-
-def test_small_groups_build_small_combs(toy_group, group64, group712):
-    # only tables whose columns exist: one 16-entry table for the toy group;
-    # the 712-bit comb is laid out for 296 bits in the same 4 x 2048 residues
-    def entries(params):
-        g_pow(params, 1)
-        tables = {id(table): table for step in params._comb.schedule for table, _ in step}
-        return sorted(len(table) for table in tables.values())
-
-    assert entries(toy_group) == [16]
-    assert entries(group64) == [2**COMB_ROWS] * 3
-    assert entries(group712) == [2**COMB_ROWS] * COMB_TABLES
 
 
 def product_of_pows(a, x, b, y, p):
@@ -313,7 +318,7 @@ def test_inverses_take_one_inverse(monkeypatch, group64):
 
 
 def test_g_pow_on_equal_groups_shares_answers(group64):
-    # a hand-built copy of a generated group builds its own comb, with the
+    # a hand-built copy of a generated group builds its own table, with the
     # same powers
     copy = GroupParams(p=group64.p, q=group64.q, g=group64.g)
     for e in (3, group64.q // 3, group64.q - 2):
@@ -379,8 +384,8 @@ def test_other_cofactor_membership_uses_pow(monkeypatch):
     assert len(calls) == 30
 
 
-def test_dropped_group_frees_its_comb():
-    # the comb lives on its group, so nothing else keeps the group alive
+def test_dropped_group_frees_its_table():
+    # the table lives on its group, so nothing else keeps the group alive
     params = GroupParams(p=47, q=23, g=4)
     assert g_pow(params, 5) == pow(4, 5, 47)
     ref = weakref.ref(params)

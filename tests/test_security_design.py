@@ -15,7 +15,6 @@ from encctl.security_design import (
     InconclusiveSecurityError,
     SecurityRequirement,
     UnstableSystemError,
-    _floor_log2,
     deciphering_time,
     design,
     design_security_parameter,
@@ -309,13 +308,69 @@ def test_is_secure_inconclusive():
         is_secure(sec6_gamma, 74, SEC6_REQ, N_max=100)
 
 
-def test_floor_log2_exact():
-    for k in (-5, -1, 0, 1, 7, 74, 500):
-        assert _floor_log2(Fraction(2) ** k) == k
-        assert _floor_log2(Fraction(2) ** k * Fraction(3, 2)) == k
-        assert _floor_log2(Fraction(2) ** k - Fraction(1, 10**30)) == k - 1
-    for x in (Fraction(3), Fraction(1, 3), Fraction(10**40, 7)):
-        assert _floor_log2(x) == math.floor(math.log2(x))
+def magnitudes(lo: int, hi: int):
+    """Floats from 10^lo to 10^(hi+1), every decade about equally likely."""
+    return st.builds(lambda x, k: x * 10.0**k, st.floats(1.0, 10.0), st.integers(lo, hi))
+
+
+# (m, n, R_sigma, tr Psi_u, tr Psi_w, requirement), with tr Psi_w > n as
+# for every stable A, and upsilon * tau_c reaching below N*/2, where
+# lambda* is clamped to 1
+DESIGN_CASES = st.builds(
+    lambda m, n, R_sigma, tr_u, excess, req: (m, n, R_sigma, tr_u, n + excess, req),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    magnitudes(-3, 3),
+    st.floats(0.0, 100.0),
+    st.floats(1e-6, 100.0),
+    st.builds(SecurityRequirement, magnitudes(-12, -1), magnitudes(-3, 9), magnitudes(0, 18)),
+)
+
+
+def exact_gamma(m, n, R_sigma, tr_u, tr_w):
+    """The large-sample gamma(N) as an exact Fraction of the float inputs;
+    ``sic_large_n`` rounds it to a float."""
+    per_sample = Fraction(R_sigma) * (Fraction(tr_u) + m) + Fraction(tr_w)
+    return lambda N: Fraction(m + n) / ((N - 1) * per_sample)
+
+
+def designed(m, n, R_sigma, tr_u, tr_w, req):
+    """(N*, lambda*) for Gramians whose traces are exactly tr_u and tr_w."""
+    Psi_u, Psi_w = (np.diag([tr] + [0.0] * (n - 1)) for tr in (tr_u, tr_w))
+    return design_security_parameter(m, n, R_sigma, Psi_u, Psi_w, req)
+
+
+@LAW
+@given(case=DESIGN_CASES)
+def test_design_is_the_least_secure_pair(case):
+    # N* is the least N >= 2 with gamma(N) < gamma_c, lambda* the least
+    # lambda >= 1 with 2^lambda N* > tau_c upsilon, and no sample size is
+    # both accurate enough and fast enough to break at lambda*, but one is
+    # at lambda* - 1 unless lambda* is the clamp's 1
+    m, n, R_sigma, tr_u, tr_w, req = case
+    N_star, lam_star = designed(*case)
+    gamma = exact_gamma(m, n, R_sigma, tr_u, tr_w)
+    assert gamma(N_star) < req.gamma_c and (N_star == 2 or gamma(N_star - 1) >= req.gamma_c)
+    budget = Fraction(req.tau_c) * Fraction(req.upsilon)
+    assert 2**lam_star * N_star > budget
+    assert lam_star == 1 or 2 ** (lam_star - 1) * N_star <= budget
+    assert is_secure(gamma, lam_star, req, N_max=N_star)
+    assert lam_star == 1 or not is_secure(gamma, lam_star - 1, req, N_max=N_star)
+
+
+@LAW
+@given(case=DESIGN_CASES, factor=magnitudes(0, 3))
+def test_design_is_monotone(case, factor):
+    # a laxer gamma_c or a stronger probe needs fewer samples and so more
+    # bits; a larger breaking budget tau_c upsilon needs more bits
+    m, n, R_sigma, tr_u, tr_w, req = case
+    N_star, lam_star = designed(*case)
+    lax = SecurityRequirement(req.gamma_c * factor, req.tau_c, req.upsilon)
+    rich = SecurityRequirement(req.gamma_c, req.tau_c * factor, req.upsilon)
+    for N, lam in (designed(m, n, R_sigma, tr_u, tr_w, lax), designed(m, n, R_sigma * factor, tr_u, tr_w, req)):
+        assert N <= N_star and lam >= lam_star
+    N, lam = designed(m, n, R_sigma, tr_u, tr_w, rich)
+    assert N == N_star and lam >= lam_star
 
 
 def test_design_reference_values():
