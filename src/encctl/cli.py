@@ -34,8 +34,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # the largest codec.key_bits a config may ask for: above the paper's
-# k* = 712 with room to spare, and small enough that the safe-prime search
-# in loop-demo ends (on pure-Python pow it takes about 15 s at 1,030 bits)
+# k* = 712 with room to spare, and a bound on loop-demo's safe-prime
+# search, which draws up to 2000 candidates per key bit
 MAX_KEY_BITS = 2048
 
 # The most memory one config-sized array may take.  It bounds every size a

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .modgroup import GroupParams, g_pow, inverse, is_member, powmod
+from .modgroup import GroupParams, g_pow, is_member, powmod
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,9 @@ def encrypt(pk: PublicKey, m: int, rng: random.Random | None = None, r: int | No
 
 def mask(sk: SecretKey, c1: int) -> int:
     """The factor c1^{-s} mod p that strips the key from a ciphertext
-    whose first component is c1.
-
-    Computed as the extended-Euclid inverse of c1^s, so the exponent is
-    the key's own L bits rather than the full-length q - s; ValueError
-    for a c1 that is a multiple of p.
-    """
-    return inverse(sk.params, powmod(c1, sk.s, sk.params.p))
+    whose first component is c1; ValueError for a c1 that is a multiple
+    of p and s > 0."""
+    return powmod(c1, -sk.s, sk.params.p)
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext) -> int:

@@ -59,16 +59,19 @@ powmod = pow  # a module name, so call counters can wrap modgroup.powmod
 
 
 def powmod2(a: int, x: int, b: int, y: int, mod: int) -> int:
-    """a^x * b^y mod ``mod`` for x, y >= 0, equal to
-    ``pow(a, x, mod) * pow(b, y, mod) % mod``.
+    """a^x * b^y mod ``mod``, equal to ``pow(a, x, mod) * pow(b, y, mod) % mod``.
 
+    A negative exponent raises the inverted base, as ``pow`` does:
+    a^(-x) = (a^(-1))^x, and a base with no inverse raises ValueError.
     One chain over both exponents (Shamir's trick, HAC Alg. 14.88):
     each step squares twice and multiplies by a^i * b^j for the
     exponents' next 2-bit digits i and j, read from a 16-entry table.
     """
-    if x < 0 or y < 0:
-        raise ValueError("exponents must be nonnegative")
     a, b = a % mod, b % mod
+    if x < 0:
+        a, x = pow(a, -1, mod), -x
+    if y < 0:
+        b, y = pow(b, -1, mod), -y
     row = [1, b, b * b % mod]
     row.append(row[2] * b % mod)
     table = list(row)  # table[4*i + j] = a^i * b^j

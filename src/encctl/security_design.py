@@ -12,6 +12,7 @@ via the GNFS cost model.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -211,11 +212,6 @@ class SecurityRequirement:
                 raise ValueError(f"{name} must be positive")
 
 
-def _breaking_is_fast(N: int, lam: int, req: SecurityRequirement) -> bool:
-    # tau(N, lam) <= tau_c compared exactly: 2^lam N <= tau_c * upsilon
-    return Fraction(2) ** lam * N <= Fraction(req.tau_c) * Fraction(req.upsilon)
-
-
 def is_secure(
     gamma_fn: Callable[[int], float],
     lam: int,
@@ -234,16 +230,10 @@ def is_secure(
         raise InconclusiveSecurityError(
             f"gamma({N_max}) >= gamma_c; increase N_max to bracket the threshold"
         )
-    lo, hi = 2, N_max  # find first N with gamma(N) < gamma_c
-    if gamma_fn(lo) < req.gamma_c:
-        hi = lo
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if gamma_fn(mid) < req.gamma_c:
-            hi = mid
-        else:
-            lo = mid + 1
-    return not _breaking_is_fast(hi, lam, req)
+    # the first N in [2, N_max] with gamma(N) < gamma_c
+    N = bisect.bisect_left(range(N_max), True, 2, key=lambda n: gamma_fn(n) < req.gamma_c)
+    # tau(N, lam) > tau_c compared exactly: 2^lam N > tau_c * upsilon
+    return Fraction(2) ** lam * N > Fraction(req.tau_c) * Fraction(req.upsilon)
 
 
 def design_security_parameter(
@@ -300,13 +290,7 @@ def min_key_length(
     lo, hi = 2, 2  # every k < lo falls short; k* <= hi once the loop exits
     while ln_cost(hi) < target:
         lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ln_cost(mid) < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return hi
+    return bisect.bisect_left(range(hi), True, lo, key=lambda k: ln_cost(k) >= target)
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elgamal import (
-    Ciphertext,
-    PublicKey,
-    SecretKey,
-    _draw_exponent,
-    _pick_r,
-    _trusted,
-    keygen,
-    multiply,
-)
+from .elgamal import Ciphertext, PublicKey, SecretKey, _pick_r, _trusted, keygen, multiply
 from .modgroup import GroupParams, g_pow, inverse, powmod2
 
 
@@ -66,23 +57,17 @@ def initial_epoch(params: GroupParams, rng: random.Random) -> KeyEpoch:
 def key_update(epoch: KeyEpoch, rng: random.Random) -> tuple[KeyEpoch, UpdateToken]:
     """Rotate to a fresh secret; returns the next epoch and its token.
 
-    s' is drawn like ``keygen``'s secret, below 2^L for the group's
-    ``exponent_bits`` L.  The difference d = s' - s is reduced mod q, not
-    mod p: exponents live in the order-q group, and reducing mod p would
-    make h*g^d miss g^{s'} whenever s' < s.  h' = g^{s'}, which equals
+    The new pair (g^{s'}, s') is ``keygen``'s, s' below 2^L for the
+    group's ``exponent_bits`` L.  The difference d = s' - s is reduced
+    mod q, not mod p: exponents live in the order-q group, and reducing
+    mod p would make h*g^d miss g^{s'} whenever s' < s.  g^{s'} equals
     h*g^d for any valid epoch, so the new one skips the key-match and
     membership checks and a rotation costs one table power of the short
     s' (d itself is full-length whenever s' < s).
     """
-    params = epoch.pk.params
-    s_new = _draw_exponent(params, rng)
-    d = (s_new - epoch.sk.s) % params.q
-    h_new = g_pow(params, s_new)
-    token = UpdateToken(epoch.pk.h, d)
-    new_epoch = _trusted(
-        KeyEpoch, epoch.t + 1, _trusted(PublicKey, params, h_new), SecretKey(params, s_new)
-    )
-    return new_epoch, token
+    pk, sk = keygen(epoch.pk.params, rng)
+    token = UpdateToken(epoch.pk.h, (sk.s - epoch.sk.s) % sk.params.q)
+    return _trusted(KeyEpoch, epoch.t + 1, pk, sk), token
 
 
 def ct_update(
@@ -98,19 +83,16 @@ def ct_update(
     is also re-randomized.  Decrypting under the post-rotation secret key
     yields the original plaintext.  g^r is a table power and
     (c1*g^r)^d * h^r one joint exponentiation (``modgroup.powmod2``).
-    With both secrets below 2^L, d or q - d is short: when d > q/2 the
-    chain raises the inverse of c1*g^r to q - d, which is the same power
-    for a subgroup member, so both of its exponents stay L bits long.
+    When d > q/2 the chain takes d - q, the same power of a subgroup
+    member, so with both secrets below 2^L its exponents stay L bits long.
     """
     r = _pick_r(params, rng, r, "ct_update")
     p, q = params.p, params.q
     c1_new = ct.c1 * g_pow(params, r) % p
     d = token.d % q
     if d > q // 2:
-        factor = powmod2(inverse(params, c1_new), q - d, token.h_old, r, p)
-    else:
-        factor = powmod2(c1_new, d, token.h_old, r, p)
-    return Ciphertext(c1_new, factor * ct.c2 % p)
+        d -= q
+    return Ciphertext(c1_new, powmod2(c1_new, d, token.h_old, r, p) * ct.c2 % p)
 
 
 def cross_eval(pk: PublicKey, ct1: Ciphertext, ct2: Ciphertext) -> ExtendedCiphertext:

@@ -417,3 +417,28 @@ def test_encrypt_vector_matches_encrypt(law_group, s, draws):
     rng, ref_rng = random.Random(s), random.Random(s)
     assert encrypt_vector(sk, ms, rng) == [encrypt(pk, m, ref_rng) for m in ms]
     assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.fixture(scope="session", params=["group64", "group160"])
+def loop_group(request):
+    """A group drawing exponents from all of [0, q), and one drawing them
+    below 2^exponent_bits."""
+    return request.getfixturevalue(request.param)
+
+
+@LAW
+@given(noise_seed=st.integers(0, 2**64), key_seeds=st.tuples(st.integers(0, 2**64), st.integers(0, 2**64)))
+def test_keys_do_not_move_the_loop(loop_group, noise_seed, key_seeds):
+    # keys, randomness and ciphertexts depend on the key draws, but every
+    # decrypted value is exact, so the loop's trace depends on the noise alone
+    cfg = CodecConfig(loop_group, delta=1e-3, value_bound=1000.0)
+    model, controller = sec6_plant(sigma_w2=0.01), ControllerParams(-0.3 * np.eye(4))
+    first, second = (
+        run_encrypted_loop(
+            model, controller, cfg, T=3,
+            noise_rng=np.random.default_rng(noise_seed), key_rng=random.Random(key_seed),
+        )
+        for key_seed in key_seeds
+    )
+    for name in ("states", "inputs", "ref_inputs", "errors"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
