@@ -5,6 +5,14 @@ Z_p^*, with p = 2q + 1 a safe prime (the quadratic residues).  This module
 generates such groups, tests membership, and finds the subgroup member
 closest to a target integer, which the fixed-point codec relies on.
 
+``generate_group_params`` finds the group a plain Miller-Rabin search
+finds, with fewer exponentiations: certain witnesses of compositeness (a
+factor in [2000, 2^15) by one gcd, and the base-2 Fermat test) spare a
+composite candidate its random-base round, and Pocklington's criterion
+proves p prime from q in place of 40 rounds.  Each skipped round still
+draws its base, so the group and the state of the search's ``rng`` are
+the plain search's unless a composite's random base is a strong liar.
+
 Secret exponents are as long as the group's strength needs, not as long
 as q.  ``GroupParams.exponent_bits`` is L = 2*lambda, for lambda the
 bits of security the general number field sieve grants p
@@ -93,7 +101,8 @@ def powmod2(a: int, x: int, b: int, y: int, mod: int) -> int:
 
 MILLER_RABIN_ROUNDS = 40  # error probability < 4^-40 < 2^-80
 
-_SIEVE_BOUND = 2000
+_SIEVE_BOUND = 2000  # trial division of candidates, and of is_probable_prime
+_GCD_BOUND = 2**15  # the gcd filter's primes lie in [_SIEVE_BOUND, _GCD_BOUND)
 
 
 def _small_primes(bound: int) -> list[int]:
@@ -105,7 +114,19 @@ def _small_primes(bound: int) -> list[int]:
     return [i for i in range(bound) if flags[i]]
 
 
+def _digit_products(primes: list[int]) -> tuple[int, ...]:
+    """Products of runs of consecutive primes, each below 2^30, one CPython
+    digit, so that x % m takes one pass over x."""
+    products = [1]
+    for sp in primes:
+        if products[-1] * sp >= 2**30:
+            products.append(1)
+        products[-1] *= sp
+    return tuple(products)
+
+
 _SMALL_PRIMES = _small_primes(_SIEVE_BOUND)
+_SMALL_PRODUCTS = _digit_products(_SMALL_PRIMES)
 
 
 class GroupGenerationError(RuntimeError):
@@ -197,15 +218,66 @@ def is_probable_prime(n: int, rng: random.Random, rounds: int = MILLER_RABIN_ROU
     return True
 
 
+def _has_small_factor(q: int) -> bool:
+    """True iff a prime below both ``_SIEVE_BOUND`` and q divides q or 2q + 1.
+
+    One ``q % m`` per digit-sized product m of small primes, then one gcd
+    of the small remainders r and 2r + 1 with m.  A q below the bound can
+    share a factor with m by being one of its primes, so there the primes
+    of m are read one by one.
+    """
+    for m in _SMALL_PRODUCTS:
+        r = q % m
+        if math.gcd(r * (2 * r + 1), m) != 1:
+            return q >= _SIEVE_BOUND or any(
+                q % sp == 0 or (2 * q + 1) % sp == 0 for sp in _SMALL_PRIMES if sp < q
+            )
+    return False
+
+
+@functools.cache
+def _gcd_product() -> int:
+    """The product of the primes in [_SIEVE_BOUND, _GCD_BOUND), about 44,000
+    bits, built on the first search."""
+    return math.prod(sp for sp in _small_primes(_GCD_BOUND) if sp >= _SIEVE_BOUND)
+
+
+def _composite_witness(q: int) -> bool:
+    """True when q is certainly composite: it has a prime factor in
+    [_SIEVE_BOUND, _GCD_BOUND), or 2^(q-1) != 1 mod q (Fermat).  Never true
+    for an odd prime q."""
+    if q >= _GCD_BOUND and math.gcd(q, _gcd_product() % q) != 1:
+        return True
+    return powmod(2, q - 1, q) != 1
+
+
 def generate_group_params(
     bit_length: int, rng: random.Random, max_attempts: int | None = None
 ) -> GroupParams:
     """Generate a fresh safe-prime group with p of exactly ``bit_length`` bits.
 
-    Draws random odd q of bit_length-1 bits until both q and p = 2q + 1
-    pass primality testing, then picks g = a^2 mod p for random a, which
-    generates the quadratic residues.  Raises GroupGenerationError if the
-    attempt budget runs out.
+    Draws random odd q of bit_length-1 bits until q passes 1 + 40 random-
+    base Miller-Rabin rounds and p = 2q + 1 one round and a proof, then
+    picks g = a^2 mod p for random a, which generates the quadratic
+    residues.  Raises GroupGenerationError if the attempt budget of
+    candidates runs out.
+
+    A candidate is first divided by the primes below 2000, one ``q % m``
+    per product m of them below 2^30.  A q that survives meets two
+    certain witnesses of compositeness before its random-base round: a
+    common factor with the primes in [2000, 2^15), found by one gcd, and
+    2^(q-1) != 1 mod q.  The accepted p is proved prime by Pocklington's
+    criterion (HAC §4.3.2): with q prime, q > sqrt(p) and 3 not dividing
+    p, 2^(p-1) = 1 mod p makes p prime, so its 40 rounds are not run.
+
+    Every round skipped, on a witnessed composite q or on a proved prime
+    p, still draws its base from ``rng``.  The plain search (trial
+    division, one round on q and on p, then 40 on each) would reject that
+    q, or pass that p, on any base but a strong liar of a composite.  So
+    the groups and ``rng``'s final state are the plain search's unless a
+    composite's random base is a strong liar, which for a random
+    composite of cryptographic size has negligible probability (Damgård,
+    Landrock & Pomerance, Math. Comp. 1993).
     """
     if bit_length < 3:
         raise ValueError("bit_length must be at least 3")
@@ -214,15 +286,25 @@ def generate_group_params(
     for _ in range(max_attempts):
         q = rng.getrandbits(bit_length - 1)
         q |= (1 << (bit_length - 2)) | 1  # exact bit length, odd
-        p = 2 * q + 1
-        if any(q % sp == 0 or p % sp == 0 for sp in _SMALL_PRIMES if sp < q):
+        if _has_small_factor(q):
             continue
+        if _composite_witness(q):  # no factor below 2000, so q > 2000^2 draws a base
+            rng.randrange(2, q - 1)
+            continue
+        p = 2 * q + 1
         # one cheap round on each before spending the full budget
         if not is_probable_prime(q, rng, rounds=1):
             continue
         if not is_probable_prime(p, rng, rounds=1):
             continue
-        if is_probable_prime(q, rng) and is_probable_prime(p, rng):
+        if not is_probable_prime(q, rng):
+            continue
+        if p % 3 and powmod(2, p - 1, p) == 1:  # Pocklington: p is prime if q is
+            if p > _SIEVE_BOUND:  # a small prime p is found without draws
+                for _ in range(MILLER_RABIN_ROUNDS):
+                    rng.randrange(2, p - 1)
+            break
+        if is_probable_prime(p, rng):
             break
     else:
         raise GroupGenerationError(

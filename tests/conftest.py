@@ -33,16 +33,20 @@ def member(params: GroupParams, u: int) -> int:
     return nearest_member(params, 1 + u % (params.p - 1))
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Record every call to ``modgroup.<name>`` made through any encctl
-    module that imported it by name."""
-    real = getattr(modgroup, name)
+def count_calls(monkeypatch, name: str, owner=None) -> list:
+    """Record every call to ``owner.<name>``; without an owner, every call
+    to ``modgroup.<name>`` made through any encctl module that imported it
+    by name."""
+    real = getattr(modgroup if owner is None else owner, name)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
+    if owner is not None:
+        monkeypatch.setattr(owner, name, counted)
+        return calls
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "encctl" and getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, counted)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, strategies as st
 
+from encctl import modgroup
 from encctl.cli import main
 from encctl.modgroup import (
     GroupGenerationError,
@@ -59,6 +61,139 @@ def test_generate_64_bits(group64):
 def test_generate_712_bits(group712):
     assert group712.p.bit_length() == 712
     assert sympy.isprime(group712.p) and sympy.isprime(group712.q)
+
+
+# SHA-256 of repr((p, q, g)) for each seeded fixture group, recorded from
+# the plain search that ``plain_search`` below writes out
+FIXTURE_DIGESTS = {
+    "group64": "df18a264264805f65edd0afccaacc4c2087c0cbeb67508bc8565ec6d2e5a30cb",
+    "group160": "2fb41c460c2f0a207a7478617b96c55bc73b7e22511f83e89513bdc3b2bbb4b4",
+    "group712": "81d9bb7bef044d9861817e63d4afd0f22c94878036538987ac39c65c635f21f3",
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_DIGESTS)
+def test_seeded_fixture_groups_are_pinned(name, request):
+    params = request.getfixturevalue(name)
+    digest = hashlib.sha256(repr((params.p, params.q, params.g)).encode()).hexdigest()
+    assert digest == FIXTURE_DIGESTS[name]
+
+
+def plain_search(bit_length, rng, max_attempts=None):
+    """The safe-prime search without witnesses or proof, as the reference
+    ``generate_group_params`` must match: trial division, one Miller-Rabin
+    round on q and on p, then 40 on each.  Returns the group and the number
+    of candidates drawn."""
+    if max_attempts is None:
+        max_attempts = 2000 * bit_length
+    for candidates in range(1, max_attempts + 1):
+        q = rng.getrandbits(bit_length - 1)
+        q |= (1 << (bit_length - 2)) | 1
+        p = 2 * q + 1
+        if any(q % sp == 0 or p % sp == 0 for sp in modgroup._SMALL_PRIMES if sp < q):
+            continue
+        if not is_probable_prime(q, rng, rounds=1):
+            continue
+        if not is_probable_prime(p, rng, rounds=1):
+            continue
+        if is_probable_prime(q, rng) and is_probable_prime(p, rng):
+            break
+    else:
+        raise GroupGenerationError(f"no {bit_length}-bit safe prime found in {max_attempts} attempts")
+    a = rng.randrange(2, p - 1)
+    return GroupParams(p=p, q=q, g=a * a % p), candidates
+
+
+@LAW
+@given(bits=st.integers(3, 40), seed=st.integers(0, 2**32))
+@example(bits=3, seed=0)  # q = 3, p = 7: both found by trial division alone
+@example(bits=12, seed=1)  # q in [2000, 2^15): below the gcd filter's primes' bound
+@example(bits=16, seed=2)  # the largest q the gcd filter skips
+@example(bits=17, seed=3)  # the smallest q it tests
+def test_search_matches_the_plain_search(bits, seed):
+    # the same candidates, the same draws and the same group at every seed,
+    # and the attempt budget counts the same candidates
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    ref, candidates = plain_search(bits, ref_rng)
+    assert generate_group_params(bits, rng) == ref
+    assert rng.getstate() == ref_rng.getstate()
+    assert sympy.isprime(ref.p) and sympy.isprime(ref.q)
+    assert generate_group_params(bits, random.Random(seed), max_attempts=candidates) == ref
+    with pytest.raises(GroupGenerationError):
+        generate_group_params(bits, random.Random(seed), max_attempts=candidates - 1)
+
+
+def test_trial_division_matches_the_plain_test():
+    # every q below the small primes' bound, where q or 2q + 1 can itself be
+    # one of them, and random q of up to 712 bits
+    rng = random.Random(15)
+    qs = list(range(3, 2 * modgroup._SIEVE_BOUND, 2))
+    qs += [rng.getrandbits(rng.randrange(12, 712)) | 1 for _ in range(3000)]
+    for q in qs:
+        plain = any(q % sp == 0 or (2 * q + 1) % sp == 0 for sp in modgroup._SMALL_PRIMES if sp < q)
+        assert modgroup._has_small_factor(q) == plain, q
+
+
+def test_composite_witnesses_never_reject_a_prime():
+    # every prime on both sides of the gcd filter's bound, and larger ones
+    primes = list(sympy.primerange(3, 2 * modgroup._GCD_BOUND))
+    primes += [sympy.randprime(2**k, 2 ** (k + 1)) for k in range(17, 712, 23)]
+    assert not any(modgroup._composite_witness(q) for q in primes)
+    assert modgroup._composite_witness(2003 * 2011)  # found by the gcd
+    assert modgroup._composite_witness(65537 * 65539)  # by base 2 alone
+
+
+def test_search_skips_rounds_on_certain_composites(monkeypatch):
+    # at group64's seed: every q that the gcd filter or the base-2 test
+    # proves composite still draws its round's base but is not raised to
+    # it, and the accepted p costs one exponentiation in place of 40 rounds
+    seed, factors = 0xC0FFEE, math.prod(sympy.primerange(modgroup._SIEVE_BOUND, modgroup._GCD_BOUND))
+    pows = count_calls(monkeypatch, "powmod")
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    ref_draws = count_calls(monkeypatch, "randrange", ref_rng)
+    draws = count_calls(monkeypatch, "randrange", rng)
+    ref, candidates = plain_search(64, ref_rng)
+    ref_pows = list(pows)
+    pows.clear()
+    params = generate_group_params(64, rng)
+    assert params == ref and draws == ref_draws and candidates == 654
+
+    def is_q(n):
+        return n.bit_length() == 63
+
+    drawn = [hi + 1 for _, hi in draws if is_q(hi + 1)]  # q of every round, skipped or not
+    raised = [n for _, e, n in pows if is_q(n) and e % 2]  # q of every round that ran
+    by_gcd = [q for q in drawn if math.gcd(q, factors) != 1]
+    by_fermat = [q for q in drawn if q not in by_gcd and pow(2, q - 1, q) != 1]
+    assert sorted(raised) == sorted(q for q in drawn if q not in by_gcd + by_fermat)
+    fermat_tested = [n for a, e, n in pows if is_q(n) and (a, e) == (2, n - 1)]
+    assert not set(by_gcd) & set(fermat_tested)
+    assert (len(drawn), len(by_gcd), len(by_fermat)) == (11 + 40, 4, 3)
+
+    on_p = [n for _, _, n in pows if n == params.p]  # round, proof, generator check
+    ref_on_p = [n for _, _, n in ref_pows if n == params.p]  # 41 rounds and the check
+    assert (len(on_p), len(ref_on_p)) == (3, 42)
+    assert sum(hi + 1 == params.p for _, hi in draws) == 1 + 40 + 1  # rounds and g's root
+    # the plain search raises every drawn base but g's root, and checks g
+    assert (len(pows), len(ref_pows)) == (57, len(draws)) == (57, 96)
+
+
+def test_loop_demo_search_counts(monkeypatch):
+    # the 712-bit search loop-demo runs at reference_design's seed with
+    # key_bits: 712; the plain search makes one exponentiation per draw
+    rng = random.Random(20240601)
+    candidates = count_calls(monkeypatch, "_has_small_factor")
+    witnessed = count_calls(monkeypatch, "_composite_witness")
+    pows = count_calls(monkeypatch, "powmod")
+    draws = count_calls(monkeypatch, "randrange", rng)
+    generate_group_params(712, rng)
+    on_q = [(a, e) for a, e, n in pows if n.bit_length() == 711]
+    fermat = [a for a, e in on_q if a == 2 and e % 2 == 0]
+    # of the 821 candidates that pass trial division, 223 fall to the gcd,
+    # 577 to base 2, and 21 reach the round; the accepted q takes 40 more
+    assert (len(candidates), len(witnessed), len(fermat)) == (56_969, 821, 821 - 223)
+    assert len(on_q) - len(fermat) == 21 + 40
+    assert (len(pows), len(draws)) == (682, 923)
 
 
 def test_generate_rejects_tiny_bit_length():
