@@ -4,14 +4,16 @@ preset and of every demo, so that "byte-identical outputs" is a test.
 Each run records its exit code, the SHA-256 of its stdout and stderr (the
 output directory's path replaced by ``<out>``) and the SHA-256 of every
 file it writes.  The runs are every subcommand on every preset at
-``--seed 7``, ``loop-demo --preset reference_design`` at seeds 1 and 11,
-and the four demos, each in a fresh working directory.  Everything runs
-in-process, through ``cli.main`` and ``runpy``.
+``--seed 7``, ``loop-demo --preset reference_design`` at its own seed and
+at seeds 1 and 11, and the four demos, each in a fresh working directory.
+Everything runs in-process, through ``cli.main`` and ``runpy``.
 
-attack-sim's CSVs go through LAPACK and the Gramians through BLAS, so the
-manifest names the numpy build it was made on; ``test_golden.py`` skips
-on another build.  A change that moves output bits regenerates the
-manifest and lists the entries that changed:
+attack-sim's CSVs go through LAPACK's ``lstsq``, so their digests follow
+the BLAS kernel; every other output keeps its bits across kernels.  The
+manifest names the numpy build it was made on, and ``test_golden.py``
+compares those CSV digests on that build only and everything else on
+every build.  A change that moves output bits regenerates the manifest,
+which prints each entry and part that moved:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -40,9 +42,48 @@ COMMANDS = ("design", "complexity-curve", "attack-sim", "loop-demo")
 
 
 def numpy_build() -> dict:
-    """The numpy version and its BLAS, which the float outputs depend on."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """The numpy version and its BLAS, which attack-sim's CSVs depend on.
+    ``show_config`` takes ``mode`` from numpy 1.25 on; an older numpy's
+    version alone names its build."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:
+        return {"numpy": np.__version__, "blas": "unknown"}
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def build_bound(entry: str, part: str) -> bool:
+    """Whether ``part`` of run ``entry`` depends on the BLAS kernel: the
+    digest of a file that attack-sim writes."""
+    return entry.startswith("attack-sim ") and part.startswith("file ")
+
+
+def _parts(run: dict) -> dict:
+    return {
+        "exit": run["exit"],
+        "stdout": run["stdout"],
+        "stderr": run["stderr"],
+        "files": sorted(run["files"]),
+        **{f"file {name}": digest for name, digest in run["files"].items()},
+    }
+
+
+def moved(recorded: dict, runs: dict) -> list[tuple[str, str]]:
+    """Each (entry, part) where ``runs`` differ from the ``recorded`` ones:
+    the part is ``exit``, ``stdout``, ``stderr``, ``files`` (the set of
+    names), ``file <name>``, or ``not run`` / ``not in the manifest`` for
+    an entry on one side only."""
+    changes = []
+    for entry in sorted(recorded.keys() | runs.keys()):
+        if entry not in runs:
+            changes.append((entry, "not run"))
+        elif entry not in recorded:
+            changes.append((entry, "not in the manifest"))
+        else:
+            old, new = _parts(recorded[entry]), _parts(runs[entry])
+            changes += [(entry, part) for part in sorted(old.keys() | new.keys())
+                        if old.get(part) != new.get(part)]
+    return changes
 
 
 def _sha(data: bytes) -> str:
@@ -95,8 +136,8 @@ def compute_manifest() -> dict:
         for command in COMMANDS:
             argv = [command, "--preset", preset, "--seed", "7"]
             runs[" ".join(argv)] = _cli_run(argv)
-    for seed in ("1", "11"):
-        argv = ["loop-demo", "--preset", "reference_design", "--seed", seed]
+    loop = ["loop-demo", "--preset", "reference_design"]
+    for argv in (loop, [*loop, "--seed", "1"], [*loop, "--seed", "11"]):
         runs[" ".join(argv)] = _cli_run(argv)
     for demo in sorted(DEMOS.glob("*.py")):
         runs[f"demos/{demo.name}"] = _demo_run(demo)
@@ -104,7 +145,10 @@ def compute_manifest() -> dict:
 
 
 if __name__ == "__main__":
+    recorded = json.loads(MANIFEST.read_text(encoding="utf-8"))["runs"] if MANIFEST.exists() else {}
     manifest = compute_manifest()
+    for entry, part in moved(recorded, manifest["runs"]):
+        print(f"{entry}: {part}", file=sys.stderr)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     failed = sum(run["exit"] != 0 for run in manifest["runs"].values())
     print(f"wrote {MANIFEST} ({len(manifest['runs'])} runs, {failed} with a nonzero exit)", file=sys.stderr)

@@ -5,6 +5,8 @@ import math
 import os
 import re
 import string
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -363,6 +365,46 @@ def test_loop_demo_smoke(tmp_path, capsys):
     assert len(trace_lines) == 2  # header + one step
 
 
+def _encctl(*argv, cwd):
+    # `python -m encctl` in a fresh process, importing this same package
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "encctl", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def test_reference_design_at_k_star_end_to_end(tmp_path):
+    # the paper's headline case: the reference_design preset at the key
+    # length that design computes for it, 712 bits instead of its 64
+    doc = yaml.safe_load((resources.files("encctl") / "presets" / "reference_design.yaml").read_text())
+    doc["codec"]["key_bits"] = 712
+    write(tmp_path, yaml.safe_dump(doc))
+    design = _encctl("design", "--config", "cfg.yaml", "--out", "out", cwd=tmp_path)
+    assert design.returncode == 0, design.stderr
+    assert json.loads((tmp_path / "out" / "design.json").read_text())["k_star"] == 712
+    loop = _encctl("loop-demo", "--config", "cfg.yaml", "--out", "out", cwd=tmp_path)
+    assert loop.returncode == 0, loop.stderr
+    report = json.loads((tmp_path / "out" / "loop_report.json").read_text())
+    assert report["key_bits"] == 712
+    assert report["token_would_reveal_next_key"] is True
+    assert report["token_free_server_interface"] is True
+
+
+def test_plant_above_the_old_solver_cap_is_designed(tmp_path):
+    # an (A, B) plant without Gramians at n = 64, above n = 50, the old cap
+    # of the Lyapunov solver
+    path = write(tmp_path, """\
+plant: {n: 64, m: 4, A: 0.9, B: 1.0, sigma_w2: 0.1, sigma_x2: 1.0}
+attack: {r_sigma: 100, n_grid: [50, 100, 200, 400, 800, 1600]}
+requirement: {gamma_c: 1.0e-6, tau_c: 3.1536e+8, upsilon: 4.42e+17}
+""")
+    for command in ("design", "complexity-curve"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "complexity_curve.csv").read_text().splitlines()) == 1 + 6
+
+
 @pytest.mark.parametrize(
     "command, path, value",
     [
@@ -382,6 +424,7 @@ def test_loop_demo_smoke(tmp_path, capsys):
         pytest.param("design", ("attack", "r_sigma"), 100.0, id="sigma_u2-and-r_sigma"),
         # misspelt or unknown fields would otherwise take the default
         pytest.param("design", ("attack", "trails"), 50, id="attack-trails"),
+        pytest.param("attack-sim", ("attack", "trails"), 50, id="attack-sim-trails"),
         pytest.param("design", ("plant", "psi_U"), 0.5, id="plant-psi_U"),
         pytest.param("design", ("requirement", "extra"), 1.0, id="requirement-extra"),
     ],
