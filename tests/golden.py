@@ -8,12 +8,12 @@ file it writes.  The runs are every subcommand on every preset at
 at seeds 1 and 11, and the four demos, each in a fresh working directory.
 Everything runs in-process, through ``cli.main`` and ``runpy``.
 
-attack-sim's CSVs go through LAPACK's ``lstsq``, so their digests follow
-the BLAS kernel; every other output keeps its bits across kernels.  The
-manifest names the numpy build it was made on, and ``test_golden.py``
-compares those CSV digests on that build only and everything else on
-every build.  A change that moves output bits regenerates the manifest,
-which prints each entry and part that moved:
+attack-sim's least squares is an einsum and Cholesky solve, not LAPACK's
+``lstsq``, and every digest held under the default OpenBLAS kernel, under
+``OPENBLAS_CORETYPE=Prescott`` and under Haswell with numpy's SIMD cut to
+X86_V2, so ``test_golden.py`` compares every digest on every numpy build.
+A change that moves output bits regenerates the manifest, which prints
+each entry and part that moved:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -31,31 +31,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from encctl import cli
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "golden_manifest.json"
 DEMOS = HERE.parent / "demos"
 COMMANDS = ("design", "complexity-curve", "attack-sim", "loop-demo")
-
-
-def numpy_build() -> dict:
-    """The numpy version and its BLAS, which attack-sim's CSVs depend on.
-    ``show_config`` takes ``mode`` from numpy 1.25 on; an older numpy's
-    version alone names its build."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:
-        return {"numpy": np.__version__, "blas": "unknown"}
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
-
-
-def build_bound(entry: str, part: str) -> bool:
-    """Whether ``part`` of run ``entry`` depends on the BLAS kernel: the
-    digest of a file that attack-sim writes."""
-    return entry.startswith("attack-sim ") and part.startswith("file ")
 
 
 def _parts(run: dict) -> dict:
@@ -141,7 +122,7 @@ def compute_manifest() -> dict:
         runs[" ".join(argv)] = _cli_run(argv)
     for demo in sorted(DEMOS.glob("*.py")):
         runs[f"demos/{demo.name}"] = _demo_run(demo)
-    return {**numpy_build(), "runs": runs}
+    return {"runs": runs}
 
 
 if __name__ == "__main__":

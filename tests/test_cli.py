@@ -272,6 +272,18 @@ def test_attack_sim_seed_override_changes_output(tmp_path):
     assert (out1 / "attack_trials.csv").read_bytes() != (out2 / "attack_trials.csv").read_bytes()
 
 
+def test_attack_sim_writes_rank_deficient_rows_without_probing(tmp_path, monkeypatch):
+    # the schema requires sigma_u2 > 0, so zero probing reaches the estimator
+    # only past the parser; every trial must then be a rank_deficient row
+    monkeypatch.setattr(cli, "_sigma_u2", lambda cfg: 0.0)
+    path = write(tmp_path, SIM_CONFIG)
+    assert main(["attack-sim", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "attack_trials.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 3 and all(row.endswith(",,rank_deficient") for row in rows)
+    summary = (tmp_path / "attack_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in summary] == ["nan", "nan"]
+
+
 def test_attack_sim_below_identifiability_floor_exits_2(tmp_path, capsys):
     bad = SIM_CONFIG.replace("[10, 20]", "[10, 3]")  # below identifiability floor
     path = write(tmp_path, bad)

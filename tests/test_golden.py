@@ -2,7 +2,6 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import golden
@@ -15,38 +14,14 @@ def manifest():
     return json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
 
 
-@pytest.fixture(scope="module")
-def moved(manifest):
-    # every run is made once, for both comparisons below
-    return golden.moved(manifest["runs"], golden.compute_manifest()["runs"])
-
-
-def _report(changes):
-    return "outputs differ from the golden manifest:\n" + "\n".join(
-        f"  {entry}: {part}" for entry, part in changes
-    )
-
-
-def test_outputs_match_the_golden_manifest(moved):
+def test_outputs_match_the_golden_manifest(manifest):
     # every exit code, stdout, stderr, set of output files and file digest is
-    # the manifest's on every numpy build, save attack-sim's CSV digests; a
-    # change that moves bits regenerates the manifest (tests/golden.py) and says so
-    changes = [change for change in moved if not golden.build_bound(*change)]
-    assert not changes, _report(changes)
-
-
-def test_build_bound_outputs_match_the_golden_manifest(manifest, moved):
-    # attack-sim's CSVs go through LAPACK, so their digests hold on the
-    # manifest's own numpy build only
-    build = golden.numpy_build()
-    recorded = {key: manifest[key] for key in build}
-    if build != recorded:
-        pytest.skip(
-            f"attack-sim's CSV digests were made on numpy {recorded['numpy']} with "
-            f"{recorded['blas']}; this is numpy {build['numpy']} with {build['blas']}"
-        )
-    changes = [change for change in moved if golden.build_bound(*change)]
-    assert not changes, _report(changes)
+    # the manifest's on every numpy build; a change that moves bits
+    # regenerates the manifest (tests/golden.py) and says so
+    moved = golden.moved(manifest["runs"], golden.compute_manifest()["runs"])
+    assert not moved, "outputs differ from the golden manifest:\n" + "\n".join(
+        f"  {entry}: {part}" for entry, part in moved
+    )
 
 
 def test_moved_names_each_entry_and_part():
@@ -61,15 +36,6 @@ def test_moved_names_each_entry_and_part():
         ("gone", "not run"),
         ("new", "not in the manifest"),
     ]
-    assert golden.build_bound("attack-sim --preset var_panel_a --seed 7", "file attack_trials.csv")
-    assert not golden.build_bound("attack-sim --preset var_panel_a --seed 7", "files")
-    assert not golden.build_bound("design --preset var_panel_a --seed 7", "file design.json")
-
-
-def test_numpy_build_without_show_config_mode(monkeypatch):
-    # numpy 1.24, the declared floor, has show_config() without mode
-    monkeypatch.setattr(np, "show_config", lambda: None)
-    assert golden.numpy_build() == {"numpy": np.__version__, "blas": "unknown"}
 
 
 def test_readme_examples_are_manifest_entries(manifest):

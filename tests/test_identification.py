@@ -119,6 +119,65 @@ def test_rank_deficiency_raises():
         least_squares_estimate(data)
 
 
+def test_zero_probing_is_rank_deficient():
+    # the state is excited but U_p is zero: every trial fails, none estimates
+    model = sec6_plant()
+    atk = AttackConfig(sigma_u2=0.0, N=40)
+    with pytest.raises(RankDeficiencyError):
+        least_squares_estimate(collect_data(model, atk, np.random.default_rng(8)))
+    result = monte_carlo_error(model, atk, trials=7, seed=8)
+    assert result.n_failed == 7 and np.isnan(result.epsilons).all()
+    assert np.isnan(result.mean_epsilon)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 3), (3, 2)])
+def test_regressor_with_a_repeated_row_raises(i, j):
+    # a row of U_p equal to a row of X_p makes D D^T singular: the rank
+    # rule must catch the rounding-level pivot rather than return an estimate
+    data = collect_data(sec6_plant(), AttackConfig(sigma_u2=1.0, N=60), np.random.default_rng(9))
+    Up = data.Up.copy()
+    Up[j] = data.Xp[i]
+    with pytest.raises(RankDeficiencyError):
+        least_squares_estimate(DataMatrices(data.Xf, data.Xp, Up, data.Wp))
+
+
+def test_rcond_applies_squared_to_cholesky_pivots():
+    # two rows at relative distance 1e-4: G's second pivot is about 1e-8 of
+    # its diagonal, above rcond^2 = 1e-10 at rcond = 1e-5 (though below
+    # rcond itself) and below rcond^2 = 1e-6 at rcond = 1e-3
+    rng = np.random.default_rng(10)
+    z = rng.normal(size=(2, 200))
+    Xp, Up = z[:1], z[:1] + 1e-4 * z[1:]
+    data = DataMatrices(Xf=Xp + Up, Xp=Xp, Up=Up, Wp=np.zeros((1, 200)))
+    for rcond in (1e-10, 1e-5):
+        Ahat, Bhat = least_squares_estimate(data, rcond=rcond)
+        assert np.abs(np.hstack([Ahat, Bhat]) - 1.0).max() <= 1e-6
+    with pytest.raises(RankDeficiencyError):
+        least_squares_estimate(data, rcond=1e-3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    extra=st.integers(0, 200),
+    noise=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_squares_matches_lstsq_on_well_conditioned_data(n, m, extra, noise, seed):
+    # Gaussian regressors with row scales in [0.1, 10] and T >= 4(n + m)
+    # samples: the normal equations' squared condition number stays small,
+    # so the Cholesky estimate agrees with LAPACK's to 1e-10 relative
+    rng = np.random.default_rng(seed)
+    p = n + m
+    T = 4 * p + extra
+    D = rng.normal(size=(p, T)) * rng.uniform(0.1, 10.0, (p, 1))
+    Xf = rng.normal(size=(n, p)) @ D + noise * rng.normal(size=(n, T))
+    Ahat, Bhat = least_squares_estimate(DataMatrices(Xf, D[:n], D[n:], np.zeros((n, T))))
+    oracle = np.linalg.lstsq(D.T, Xf.T, rcond=None)[0].T
+    assert np.abs(np.hstack([Ahat, Bhat]) - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
 def test_estimation_error_examples():
     A = np.array([[0.5]])
     B = np.array([[1.0]])
@@ -236,10 +295,7 @@ def test_monte_carlo_trial_equals_identify(case, trials, seed, block_bytes):
     assert result.n_failed == int(np.isnan(result.epsilons).sum())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=dense_attacks(), seed=st.integers(0, 2**32 - 1))
-def test_collect_matches_reference_loop(case, seed):
-    model, atk = case
+def assert_collect_matches_reference(model, atk, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     data = collect_data(model, atk, rng)
     ref = reference_collect(model, atk, ref_rng)
@@ -249,6 +305,33 @@ def test_collect_matches_reference_loop(case, seed):
     for got, want in ((data.Xf, ref.Xf), (data.Xp, ref.Xp)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=dense_attacks(), seed=st.integers(0, 2**32 - 1))
+def test_collect_matches_reference_loop(case, seed):
+    model, atk = case
+    assert_collect_matches_reference(model, atk, seed)
+
+
+@pytest.mark.parametrize("length", [2**k + d for k in (4, 5, 7) for d in (-1, 0, 1)] + [48, 96])
+def test_scan_matches_reference_at_power_of_two_edges(length):
+    # the scan's strided passes change shape where t_f + 1 crosses a power
+    # of two, and at 3 * 2^k the coarsest down-sweep pass ends on the last
+    # column; t_s = 3 puts the window off the trajectory's start
+    model = PlantModel(
+        np.array([[0.5, 0.4, 0.0], [-0.3, 0.2, 0.6], [0.1, 0.0, -0.7]]),
+        np.array([[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]]),
+        0.3, 1.5,
+    )
+    assert_collect_matches_reference(model, AttackConfig(sigma_u2=2.0, N=length - 3, t_s=3), length)
+
+
+def test_scan_matches_reference_at_the_var_panel_length():
+    # var_panel_a's plant at its largest grid point, N = 1600: twenty times
+    # the windows the Hypothesis law draws
+    model = PlantModel(0.7071 * np.eye(4), np.eye(4), 0.1, 1.0)
+    assert_collect_matches_reference(model, AttackConfig(sigma_u2=0.1, N=1600, t_s=1), 1600)
 
 
 def test_monte_carlo_memory_is_bounded():
