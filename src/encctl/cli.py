@@ -44,8 +44,10 @@ MAX_KEY_BITS = 2048
 # and attack-sim's N (one trial's N*(2n+m) floats of history)
 MAX_ARRAY_BYTES = 1 << 27
 _MAX_DIM = math.isqrt(MAX_ARRAY_BYTES // 8)  # 4096
-# a trial keeps about 650 bytes (tracemalloc) beyond its simulation: its
-# SeedSequence child, all spawned up front, and its CSV row; 1 KiB each
+# a trial keeps about 370 bytes (tracemalloc) beyond its block's simulation
+# while its grid point runs: its SeedSequence child, all spawned up front,
+# and its error.  attack-sim writes a grid point's rows before the next one
+# starts, so this budget of 1 KiB a trial is per grid point
 _MAX_TRIALS = MAX_ARRAY_BYTES // 1024
 
 _PRESETS = resources.files("encctl") / "presets"
@@ -283,6 +285,12 @@ def parse_config(doc: dict) -> RunConfig:
             )
     if cfg.loop is not None:
         _within_budget("loop.T", cfg.loop.T * (cfg.plant.n + 2 * cfg.plant.m + 1))
+        if cfg.codec is not None:
+            # encode's rule, checked before the safe-prime search
+            over = np.abs(cfg.loop.phi) > cfg.codec.value_bound
+            if over.any():
+                entry = cfg.loop.phi[over][0]
+                _fail("loop.phi", f"|{entry}| exceeds codec.value_bound {cfg.codec.value_bound}")
     return cfg
 
 
@@ -423,7 +431,10 @@ def cmd_attack_sim(cfg: RunConfig, out: Path, seed: int) -> int:
 
     Writes attack_trials.csv (N,trial,epsilon,status) and
     attack_summary.csv (N,mean_epsilon,gamma), with gamma the full-form
-    lower bound at the config's variances.
+    lower bound at the config's variances.  Each grid point's trial rows
+    are written as soon as they are computed, to a partial file that
+    becomes attack_trials.csv only once every grid point has run, so a
+    failed run leaves neither CSV.
     """
     plant = _require_block(cfg, "plant")
     attack = _require_block(cfg, "attack")
@@ -438,24 +449,31 @@ def cmd_attack_sim(cfg: RunConfig, out: Path, seed: int) -> int:
     _within_budget(f"attack.n_grid: N={largest}", largest * (2 * plant.n + plant.m))
     pair = _gramian_pair(plant)
     sigma_u2 = _sigma_u2(cfg)
-    trial_rows = []
-    summary_rows = []
-    for j, N in enumerate(attack.n_grid):
-        atk = identification.AttackConfig(sigma_u2=sigma_u2, N=N)
-        result = identification.monte_carlo_error(model, atk, attack.trials, seed + j)
-        gamma = security_design.sic_full(
-            plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
-            pair.Psi_u, pair.Psi_w, N,
-        )
-        for i, eps in enumerate(result.epsilons):
-            ok = not np.isnan(eps)
-            trial_rows.append([N, i, repr(float(eps)) if ok else "", "ok" if ok else "rank_deficient"])
-        summary_rows.append([N, repr(result.mean_epsilon), repr(gamma)])
     trials_path = out / "attack_trials.csv"
     summary_path = out / "attack_summary.csv"
-    _write_csv(trials_path, ["N", "trial", "epsilon", "status"], trial_rows)
-    _write_csv(summary_path, ["N", "mean_epsilon", "gamma"], summary_rows)
-    print(f"wrote {trials_path} ({len(trial_rows)} trials)")
+    partial = out / "attack_trials.csv.partial"
+    summary_rows = []
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["N", "trial", "epsilon", "status"])
+            for j, N in enumerate(attack.n_grid):
+                atk = identification.AttackConfig(sigma_u2=sigma_u2, N=N)
+                result = identification.monte_carlo_error(model, atk, attack.trials, seed + j)
+                gamma = security_design.sic_full(
+                    plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
+                    pair.Psi_u, pair.Psi_w, N,
+                )
+                for i, eps in enumerate(result.epsilons):
+                    status = ["", "rank_deficient"] if np.isnan(eps) else [repr(float(eps)), "ok"]
+                    writer.writerow([N, i, *status])
+                summary_rows.append([N, repr(result.mean_epsilon), repr(gamma)])
+        _write_csv(summary_path, ["N", "mean_epsilon", "gamma"], summary_rows)
+        partial.replace(trials_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    print(f"wrote {trials_path} ({len(attack.n_grid) * attack.trials} trials)")
     print(f"wrote {summary_path} ({len(summary_rows)} grid points)")
     return EXIT_OK
 

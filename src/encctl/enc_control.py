@@ -23,14 +23,16 @@ and alpha + T ``inverses`` calls.  At the designed 712 bits s and r are
 at most 19 rows of the generator's table and each g^(s*r) at most 37.
 The benchmark's loop_k712 workload gives the time per step.
 
-A plaintext twin (``run_plain_loop``) consumes the identical noise stream
-so encrypted-versus-plain deviations isolate quantization effects.
+A plaintext twin (``run_plain_loop``) steps the plant through the same
+driver and consumes the identical noise stream, so encrypted-versus-plain
+deviations isolate quantization effects.
 """
 
 from __future__ import annotations
 
 import csv
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,13 +242,30 @@ def decrypt_controller_output(
     return sum_rows(plain)
 
 
-def _draw_initial_state(model: PlantModel, rng: np.random.Generator, x0) -> np.ndarray:
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (model.n,):
+def _drive(
+    model: PlantModel, controller: ControllerParams, T: int, noise_rng: np.random.Generator,
+    x0: np.ndarray | None, start_control: Callable[[], Callable],
+) -> LoopTrace:
+    """The plant side of both loops.  After the checks, ``start_control()``
+    sets up the law ``control(t, x_t) -> (u_t, reference u_t)``; then x0
+    and every step's noise are drawn here, in one order for both loops."""
+    if T < 1:
+        raise ValueError("T must be at least 1")
+    if controller.beta != model.n or controller.alpha != model.m:
+        raise ValueError("controller shape must be (m, n) for this plant")
+    control = start_control()
+    if x0 is None:
+        x = noise_rng.normal(0.0, np.sqrt(model.sigma_x2), model.n)
+    else:
+        x = np.asarray(x0, dtype=float)
+        if x.shape != (model.n,):
             raise ValueError(f"x0 must have shape ({model.n},)")
-        return x0.copy()
-    return rng.normal(0.0, np.sqrt(model.sigma_x2), model.n)
+    states, inputs, refs = np.empty((T, model.n)), np.empty((T, model.m)), np.empty((T, model.m))
+    for t in range(T):
+        u, refs[t] = control(t, x)
+        states[t], inputs[t] = x, u
+        x = plant_step(model, x, u, noise_rng)
+    return LoopTrace(np.arange(T), states, inputs, refs, np.abs(inputs - refs).max(axis=1))
 
 
 def run_encrypted_loop(
@@ -262,46 +281,33 @@ def run_encrypted_loop(
 
     Each step encodes the state once, encrypts it under the current
     epoch's secret, evaluates the encrypted controller against the
-    epoch-0 gain ciphertexts, strips both epochs' masks from the reply,
-    steps the plant, and rotates the keys.  The gain is encrypted exactly
-    once and its epoch-0 masks are computed once; every mask comes from
-    the plant's own plaintext, no ciphertext is ever re-keyed and no
-    token leaves this function.
+    epoch-0 gain ciphertexts, strips both epochs' masks from the reply and
+    rotates the keys; ``_drive`` steps the plant.  The gain is encrypted
+    and its epoch-0 masks computed once; every mask comes from the plant's
+    own plaintext, no ciphertext is re-keyed and no token leaves here.
     """
-    if T < 1:
-        raise ValueError("T must be at least 1")
-    if controller.beta != model.n or controller.alpha != model.m:
-        raise ValueError("controller shape must be (m, n) for this plant")
-    params = cfg.params
-    epoch0 = initial_epoch(params, key_rng)
-    codes0 = [encode_vector(row, cfg) for row in controller.Phi]
-    ct_phi0 = encrypt_matrix(epoch0.sk, codes0, key_rng)
-    masks0 = [own_masks(params, row, cts) for row, cts in zip(codes0, ct_phi0)]
-    epoch = epoch0
+    def start_control():
+        params = cfg.params
+        epoch = epoch0 = initial_epoch(params, key_rng)
+        codes0 = [encode_vector(row, cfg) for row in controller.Phi]
+        ct_phi0 = encrypt_matrix(epoch0.sk, codes0, key_rng)
+        masks0 = [own_masks(params, row, cts) for row, cts in zip(codes0, ct_phi0)]
 
-    x = _draw_initial_state(model, noise_rng, x0)
-    states = np.empty((T, model.n))
-    inputs = np.empty((T, model.m))
-    refs = np.empty((T, model.m))
-    errors = np.empty(T)
-    for t in range(T):
-        try:
-            xi = encode_vector(x, cfg)
-        except ValueError as exc:
-            raise ValueError(f"encoding failed at step {t}: {exc}") from exc
-        x_quant = np.array([decode(m, cfg) for m in xi])
-        ct_xi = encrypt_vector(epoch.sk, xi, key_rng)
-        reply = encrypted_controller(epoch0.pk, ct_phi0, ct_xi)
-        masks_t = own_masks(params, xi, ct_xi)
-        u = decrypt_controller_output(masks0, masks_t, reply, cfg)
-        u_ref = controller.Phi @ x_quant
-        states[t] = x
-        inputs[t] = u
-        refs[t] = u_ref
-        errors[t] = np.abs(u - u_ref).max()
-        x = plant_step(model, x, u, noise_rng)
-        epoch, _token = key_update(epoch, key_rng)  # token stays on the plant side
-    return LoopTrace(np.arange(T), states, inputs, refs, errors)
+        def control(t, x):
+            nonlocal epoch
+            try:
+                xi = encode_vector(x, cfg)
+            except ValueError as exc:
+                raise ValueError(f"encoding failed at step {t}: {exc}") from exc
+            x_quant = np.array([decode(m, cfg) for m in xi])
+            ct_xi = encrypt_vector(epoch.sk, xi, key_rng)
+            reply = encrypted_controller(epoch0.pk, ct_phi0, ct_xi)
+            masks_t = own_masks(params, xi, ct_xi)
+            epoch, _token = key_update(epoch, key_rng)  # token stays on the plant side
+            return decrypt_controller_output(masks0, masks_t, reply, cfg), controller.Phi @ x_quant
+        return control
+
+    return _drive(model, controller, T, noise_rng, x0, start_control)
 
 
 def run_plain_loop(
@@ -311,21 +317,13 @@ def run_plain_loop(
     noise_rng: np.random.Generator,
     x0: np.ndarray | None = None,
 ) -> LoopTrace:
-    """Reference loop with u = Phi x in the clear.
+    """Reference loop with u = Phi x in the clear, its own reference.
 
-    Draws noise in the same order as the encrypted loop, so running both
-    with generators seeded identically yields identical noise streams.
+    It steps the plant through the encrypted loop's driver, so with
+    identically seeded generators both see identical noise streams.
     """
-    if T < 1:
-        raise ValueError("T must be at least 1")
-    if controller.beta != model.n or controller.alpha != model.m:
-        raise ValueError("controller shape must be (m, n) for this plant")
-    x = _draw_initial_state(model, noise_rng, x0)
-    states = np.empty((T, model.n))
-    inputs = np.empty((T, model.m))
-    for t in range(T):
+    def control(t, x):
         u = controller.Phi @ x
-        states[t] = x
-        inputs[t] = u
-        x = plant_step(model, x, u, noise_rng)
-    return LoopTrace(np.arange(T), states, inputs, inputs.copy(), np.zeros(T))
+        return u, u
+
+    return _drive(model, controller, T, noise_rng, x0, lambda: control)

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elgamal import Ciphertext, PublicKey, SecretKey, _pick_r, _trusted, keygen, multiply
+from .elgamal import Ciphertext, PublicKey, SecretKey, _pick_r, _trusted, keygen
 from .modgroup import GroupParams, g_pow, inverse, powmod2
 
 
@@ -98,12 +98,12 @@ def ct_update(
 def cross_eval(pk: PublicKey, ct1: Ciphertext, ct2: Ciphertext) -> ExtendedCiphertext:
     """Multiply two ciphertexts that may come from different key epochs.
 
-    Keeps both first components so each epoch's mask can be stripped
-    separately at decryption time.  Needs no secret material and no
-    token; epoch bookkeeping is the caller's job.
+    Keeps both first components, so each epoch's mask can be stripped
+    separately at decryption time, and multiplies only the second ones.
+    Needs no secret material and no token; epoch bookkeeping is the
+    caller's job.
     """
-    ct = multiply(pk, ct1, ct2)
-    return ExtendedCiphertext(ct1.c1, ct2.c1, ct.c2)
+    return ExtendedCiphertext(ct1.c1, ct2.c1, ct1.c2 * ct2.c2 % pk.params.p)
 
 
 def cross_decrypt(sk1: SecretKey, sk2: SecretKey, ect: ExtendedCiphertext) -> int:

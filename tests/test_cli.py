@@ -7,6 +7,7 @@ import re
 import string
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -284,6 +285,57 @@ def test_attack_sim_writes_rank_deficient_rows_without_probing(tmp_path, monkeyp
     assert [row.split(",")[1] for row in summary] == ["nan", "nan"]
 
 
+def test_attack_sim_failure_at_a_later_grid_point_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    real = cli.identification.monte_carlo_error
+    calls = []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError("grid point 2")
+        return real(*args)
+
+    monkeypatch.setattr(cli.identification, "monte_carlo_error", fail_second)
+    path = write(tmp_path, SIM_CONFIG)
+    out = tmp_path / "out"
+    assert main(["attack-sim", "--config", str(path), "--out", str(out)]) == 3
+    assert "numerical failure: grid point 2" in capsys.readouterr().err
+    assert len(calls) == 2 and list(out.iterdir()) == []
+
+
+ONE_BY_ONE_SIM = """\
+plant:
+  n: 1
+  m: 1
+  A: 0.5
+  B: 1.0
+  psi_u: 1.0
+  psi_w: 1.0
+  sigma_w2: 1.0
+  sigma_x2: 1.0
+attack:
+  sigma_u2: 1.0
+  n_grid: [3]
+  trials: 2000
+"""
+
+
+def test_attack_sim_memory_does_not_grow_with_the_grid(tmp_path):
+    # each grid point's rows go to the file before the next point runs, so
+    # four grid points peak where one does
+    peaks = []
+    for grid in ("[3]", "[3, 3, 3, 3]"):
+        path = write(tmp_path, ONE_BY_ONE_SIM.replace("[3]", grid))
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["attack-sim", "--config", str(path), "--out", str(tmp_path)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+
+
 def test_attack_sim_below_identifiability_floor_exits_2(tmp_path, capsys):
     bad = SIM_CONFIG.replace("[10, 20]", "[10, 3]")  # below identifiability floor
     path = write(tmp_path, bad)
@@ -337,6 +389,19 @@ def test_key_bits_above_the_limit_is_config_error(tmp_path, capsys, monkeypatch)
     path = write(tmp_path, LOOP_CONFIG.replace("key_bits: 32", "key_bits: 439242"))
     assert main(["loop-demo", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "error: codec.key_bits: " in capsys.readouterr().err
+
+
+def test_gain_beyond_value_bound_is_config_error(tmp_path, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("safe-prime search started")
+
+    monkeypatch.setattr(cli, "generate_group_params", no_search)
+    path = write(tmp_path, LOOP_CONFIG.replace("phi: -0.3", "phi: 50.0"))
+    assert main(["loop-demo", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "error: loop.phi: |50.0| exceeds codec.value_bound 10.0" in capsys.readouterr().err
+    # encode's rule: a gain at the bound itself is accepted
+    at_bound = yaml.safe_load(LOOP_CONFIG.replace("phi: -0.3", "phi: [[0.1, -10.0], [0.0, 0.2]]"))
+    assert parse_config(at_bound).loop.phi[0, 1] == -10.0
 
 
 @pytest.mark.parametrize("command", ["design", "complexity-curve"])

@@ -234,6 +234,36 @@ def test_loop_shape_validation(cfg64):
         run_plain_loop(model, ControllerParams(np.eye(4)), T=0, noise_rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("loop", ["encrypted", "plain"])
+@pytest.mark.parametrize(
+    "T, Phi, x0, message",
+    [
+        (0, np.eye(4), None, "T must be at least 1"),
+        (1, np.eye(3), None, "controller shape must be (m, n) for this plant"),
+        (1, np.eye(4), np.zeros(3), "x0 must have shape (4,)"),
+    ],
+)
+def test_both_loops_check_alike(cfg64, loop, T, Phi, x0, message):
+    model, controller = sec6_plant(), ControllerParams(Phi)
+    noise_rng = np.random.default_rng(0)
+    with pytest.raises(ValueError) as info:
+        if loop == "encrypted":
+            run_encrypted_loop(model, controller, cfg64, T, noise_rng, random.Random(0), x0)
+        else:
+            run_plain_loop(model, controller, T, noise_rng, x0)
+    assert str(info.value) == message
+
+
+def test_plain_loop_is_its_own_reference():
+    trace = run_plain_loop(
+        sec6_plant(sigma_w2=0.01), ControllerParams(-0.3 * np.eye(4)), T=20,
+        noise_rng=np.random.default_rng(5),
+    )
+    assert np.array_equal(trace.ref_inputs, trace.inputs)
+    assert np.array_equal(trace.times, np.arange(20))
+    assert trace.errors.tolist() == [0.0] * 20 and trace.max_error == 0.0
+
+
 def test_trace_csv_schema(tmp_path, cfg64):
     model = sec6_plant(sigma_w2=0.01)
     controller = ControllerParams(-0.3 * np.eye(4))
