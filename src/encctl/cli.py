@@ -44,10 +44,10 @@ MAX_KEY_BITS = 2048
 # and attack-sim's N (one trial's N*(2n+m) floats of history)
 MAX_ARRAY_BYTES = 1 << 27
 _MAX_DIM = math.isqrt(MAX_ARRAY_BYTES // 8)  # 4096
-# a trial keeps about 370 bytes (tracemalloc) beyond its block's simulation
-# while its grid point runs: its SeedSequence child, all spawned up front,
-# and its error.  attack-sim writes a grid point's rows before the next one
-# starts, so this budget of 1 KiB a trial is per grid point
+# a trial keeps only its 8-byte error beyond its block's simulation while
+# its grid point runs (seeds are spawned a block at a time), and attack-sim
+# writes a grid point's rows before the next one starts; the cap allows
+# 1 KiB a trial, far above that
 _MAX_TRIALS = MAX_ARRAY_BYTES // 1024
 
 _PRESETS = resources.files("encctl") / "presets"
@@ -266,6 +266,10 @@ def parse_config(doc: dict) -> RunConfig:
     if cfg.attack is not None and (cfg.attack.sigma_u2 is None) == (cfg.attack.r_sigma is None):
         _fail("attack.r_sigma", "give exactly one of sigma_u2 and r_sigma")
     if cfg.codec is not None:
+        # encode_vector moves every value that quantizes to zero to delta,
+        # which encode then checks against value_bound
+        if cfg.codec.delta > cfg.codec.value_bound:
+            _fail("codec.delta", f"must not exceed codec.value_bound {cfg.codec.value_bound}")
         # any generated modulus has p >= 2^(key_bits-1), so this guarantees
         # the codec's product wrap-safety condition (value_bound/delta)^2 <
         # p/2. levels*levels goes to inf instead of raising, and comparing
@@ -324,13 +328,6 @@ def load_preset(name: str) -> RunConfig:
 # derived quantities
 
 
-def _require_block(cfg: RunConfig, name: str):
-    block = getattr(cfg, name)
-    if block is None:
-        _fail(name, "section required for this command")
-    return block
-
-
 def _gramian_pair(plant: PlantBlock) -> security_design.GramianPair:
     """Explicit Gramian targets win over values derived from (A, B)."""
     if plant.psi_u is not None and plant.psi_w is not None:
@@ -343,10 +340,9 @@ def _gramian_pair(plant: PlantBlock) -> security_design.GramianPair:
 
 
 def _r_sigma(cfg: RunConfig) -> float:
-    attack = _require_block(cfg, "attack")
+    attack, plant = cfg.attack, cfg.plant
     if attack.r_sigma is not None:
         return attack.r_sigma
-    plant = _require_block(cfg, "plant")
     if plant.sigma_w2 <= 0:
         _fail("plant.sigma_w2", "must be positive to derive r_sigma from sigma_u2")
     r_sigma = attack.sigma_u2 / plant.sigma_w2
@@ -356,11 +352,10 @@ def _r_sigma(cfg: RunConfig) -> float:
 
 
 def _sigma_u2(cfg: RunConfig) -> float:
-    attack = _require_block(cfg, "attack")
+    attack = cfg.attack
     if attack.sigma_u2 is not None:
         return attack.sigma_u2
-    plant = _require_block(cfg, "plant")
-    sigma_u2 = attack.r_sigma * plant.sigma_w2
+    sigma_u2 = attack.r_sigma * cfg.plant.sigma_w2
     if not math.isfinite(sigma_u2):
         _fail("attack.r_sigma", "r_sigma*sigma_w2 overflows a float")
     return sigma_u2
@@ -373,6 +368,8 @@ def _plant_model(plant: PlantBlock) -> enc_control.PlantModel:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # csv.writer writes a float as its repr, so rows carry Python floats,
+    # never np.float64, whose repr under numpy 2 is "np.float64(...)"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -383,10 +380,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 # subcommands
 
 
-def cmd_design(cfg: RunConfig, out: Path) -> int:
+def cmd_design(cfg: RunConfig, out: Path, seed: int) -> int:
     """Compute (N*, lambda*, k*) and write design.json."""
-    req = _require_block(cfg, "requirement")
-    plant = _require_block(cfg, "plant")
+    plant, req = cfg.plant, cfg.requirement
     pair = _gramian_pair(plant)
     result = security_design.design(plant.m, plant.n, _r_sigma(cfg), pair.Psi_u, pair.Psi_w, req)
     print(result.report())
@@ -396,30 +392,27 @@ def cmd_design(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_complexity_curve(cfg: RunConfig, out: Path) -> int:
+def cmd_complexity_curve(cfg: RunConfig, out: Path, seed: int) -> int:
     """Tabulate the error lower bound and its two ceilings over the N grid."""
-    plant = _require_block(cfg, "plant")
-    attack = _require_block(cfg, "attack")
+    plant = cfg.plant
     pair = _gramian_pair(plant)
     r_sigma = _r_sigma(cfg)
     sigma_u2 = _sigma_u2(cfg)
     tr_u = float(np.trace(pair.Psi_u))
     tr_w = float(np.trace(pair.Psi_w))
     rows = []
-    for N in attack.n_grid:
+    for N in cfg.attack.n_grid:
         with _sized_by(f"attack.n_grid: N={N}"):
-            rows.append(
-                [
-                    N,
-                    repr(security_design.sic_full(
-                        plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
-                        pair.Psi_u, pair.Psi_w, N,
-                    )),
-                    repr(security_design.sic_large_n(plant.m, plant.n, r_sigma, tr_u, tr_w, N)),
-                    repr(security_design.sic_upperbound_input(plant.m, plant.n, r_sigma, N)),
-                    repr(security_design.sic_upperbound_noise(plant.m, plant.n, N)),
-                ]
-            )
+            rows.append([
+                N,
+                security_design.sic_full(
+                    plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
+                    pair.Psi_u, pair.Psi_w, N,
+                ),
+                security_design.sic_large_n(plant.m, plant.n, r_sigma, tr_u, tr_w, N),
+                security_design.sic_upperbound_input(plant.m, plant.n, r_sigma, N),
+                security_design.sic_upperbound_noise(plant.m, plant.n, N),
+            ])
     path = out / "complexity_curve.csv"
     _write_csv(path, ["N", "gamma_full", "gamma_largeN", "bound_input", "bound_noise"], rows)
     print(f"wrote {path} ({len(rows)} grid points)")
@@ -436,8 +429,7 @@ def cmd_attack_sim(cfg: RunConfig, out: Path, seed: int) -> int:
     becomes attack_trials.csv only once every grid point has run, so a
     failed run leaves neither CSV.
     """
-    plant = _require_block(cfg, "plant")
-    attack = _require_block(cfg, "attack")
+    plant, attack = cfg.plant, cfg.attack
     model = _plant_model(plant)
     floor = plant.n + plant.m + 1
     if min(attack.n_grid) < floor:
@@ -453,21 +445,21 @@ def cmd_attack_sim(cfg: RunConfig, out: Path, seed: int) -> int:
     summary_path = out / "attack_summary.csv"
     partial = out / "attack_trials.csv.partial"
     summary_rows = []
+
+    def trial_rows():
+        for j, N in enumerate(attack.n_grid):
+            atk = identification.AttackConfig(sigma_u2=sigma_u2, N=N)
+            result = identification.monte_carlo_error(model, atk, attack.trials, seed + j)
+            for i, eps in enumerate(result.epsilons.tolist()):
+                yield [N, i, "", "rank_deficient"] if math.isnan(eps) else [N, i, eps, "ok"]
+            gamma = security_design.sic_full(
+                plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
+                pair.Psi_u, pair.Psi_w, N,
+            )
+            summary_rows.append([N, result.mean_epsilon, gamma])
+
     try:
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["N", "trial", "epsilon", "status"])
-            for j, N in enumerate(attack.n_grid):
-                atk = identification.AttackConfig(sigma_u2=sigma_u2, N=N)
-                result = identification.monte_carlo_error(model, atk, attack.trials, seed + j)
-                gamma = security_design.sic_full(
-                    plant.m, plant.n, plant.sigma_x2, sigma_u2, plant.sigma_w2,
-                    pair.Psi_u, pair.Psi_w, N,
-                )
-                for i, eps in enumerate(result.epsilons):
-                    status = ["", "rank_deficient"] if np.isnan(eps) else [repr(float(eps)), "ok"]
-                    writer.writerow([N, i, *status])
-                summary_rows.append([N, repr(result.mean_epsilon), repr(gamma)])
+        _write_csv(partial, ["N", "trial", "epsilon", "status"], trial_rows())
         _write_csv(summary_path, ["N", "mean_epsilon", "gamma"], summary_rows)
         partial.replace(trials_path)
     except BaseException:
@@ -485,9 +477,7 @@ def cmd_loop_demo(cfg: RunConfig, out: Path, seed: int) -> int:
     token, and demonstrates on the plant side that the token would reveal
     the next secret key if it were ever shared.
     """
-    plant = _require_block(cfg, "plant")
-    codec_block = _require_block(cfg, "codec")
-    loop = _require_block(cfg, "loop")
+    plant, codec_block, loop = cfg.plant, cfg.codec, cfg.loop
     model = _plant_model(plant)
     controller = enc_control.ControllerParams(loop.phi)
 
@@ -543,6 +533,20 @@ def cmd_loop_demo(cfg: RunConfig, out: Path, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Every subcommand, once: name -> (its function, the config sections it
+# reads, in the order main checks them before any work, its help text)
+_COMMANDS = {
+    "design": (cmd_design, ("requirement", "plant", "attack"),
+               "compute the optimal security parameter and key length"),
+    "complexity-curve": (cmd_complexity_curve, ("plant", "attack"),
+                         "tabulate identification-error lower bounds over N"),
+    "attack-sim": (cmd_attack_sim, ("plant", "attack"),
+                   "Monte Carlo least-squares identification attack"),
+    "loop-demo": (cmd_loop_demo, ("plant", "codec", "loop"),
+                  "encrypted control loop vs plaintext reference"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="encctl",
@@ -550,12 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         "complexity curves, identification-attack simulation, loop demo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("design", "compute the optimal security parameter and key length"),
-        ("complexity-curve", "tabulate identification-error lower bounds over N"),
-        ("attack-sim", "Monte Carlo least-squares identification attack"),
-        ("loop-demo", "encrypted control loop vs plaintext reference"),
-    ]:
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", type=Path, help="path to a YAML run configuration")
@@ -567,6 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, sections, _ = _COMMANDS[args.command]
     try:
         if args.seed is not None and args.seed < 0:
             _fail("--seed", f"expected a nonnegative integer, got {args.seed}")
@@ -575,16 +575,13 @@ def main(argv: list[str] | None = None) -> int:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             _fail("--out", f"not a usable output directory: {exc}")
+        for name in sections:
+            if getattr(cfg, name) is None:
+                _fail(name, "section required for this command")
         seed = args.seed
         if seed is None:
             seed = cfg.attack.seed if cfg.attack is not None else 0
-        if args.command == "design":
-            return cmd_design(cfg, args.out)
-        if args.command == "complexity-curve":
-            return cmd_complexity_curve(cfg, args.out)
-        if args.command == "attack-sim":
-            return cmd_attack_sim(cfg, args.out, seed)
-        return cmd_loop_demo(cfg, args.out, seed)
+        return command(cfg, args.out, seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -133,17 +133,12 @@ class LoopTrace:
             + [f"uref_{i + 1}" for i in range(m)]
             + ["err"]
         )
+        # tolist gives Python floats, which csv.writer writes as their repr
+        cells = np.column_stack((self.states, self.inputs, self.ref_inputs, self.errors))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for t in range(len(self)):
-                writer.writerow(
-                    [int(self.times[t])]
-                    + [repr(float(v)) for v in self.states[t]]
-                    + [repr(float(v)) for v in self.inputs[t]]
-                    + [repr(float(v)) for v in self.ref_inputs[t]]
-                    + [repr(float(self.errors[t]))]
-                )
+            writer.writerows([t, *row] for t, row in zip(self.times.tolist(), cells.tolist()))
 
 
 def plant_step(

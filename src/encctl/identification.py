@@ -15,9 +15,8 @@ trial's bits depend neither on its block nor on the BLAS kernel.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -100,12 +99,14 @@ def _scan(x: np.ndarray, powers: list[tuple[int, np.ndarray]]) -> None:
 
 
 def _simulate(
-    model: PlantModel, atk: AttackConfig, rngs: Iterable[np.random.Generator]
+    model: PlantModel, atk: AttackConfig, draw: Callable[[int], list[np.random.Generator]]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Simulate one trial per generator and yield each block's trajectories.
 
-    A block is (x, u, w), trial-major: x is (b, n, t_f + 1), u is
-    (b, m, t_f) and w is (b, n, t_f).  Every generator draws x_0, then u
+    ``draw(k)`` gives the next block's generators, at most k of them, and
+    an empty list once every trial has run.  A block is (x, u, w),
+    trial-major: x is (b, n, t_f + 1), u is (b, m, t_f) and w is
+    (b, n, t_f).  Every generator draws x_0, then u
     (m x t_f), then w (n x t_f), as a lone trial would, and the draws
     land in its rows as drawn.  Every block is written into the same
     buffers, so a block is valid only until the next one is drawn.
@@ -127,8 +128,7 @@ def _simulate(
         P, s = np.einsum("ij,jk->ik", P, P), 2 * s
     sd_x, sd_u, sd_w = np.sqrt(model.sigma_x2), np.sqrt(atk.sigma_u2), np.sqrt(model.sigma_w2)
     block = max(1, _BLOCK_BYTES // (8 * ((t_f + 1) * n + t_f * (m + n))))
-    rngs = iter(rngs)
-    chunk = list(islice(rngs, block))
+    chunk = draw(block)
     # sized by the first chunk, which no later chunk exceeds
     buffers = [np.empty((len(chunk), *shape)) for shape in ((n, t_f + 1), (m, t_f), (n, t_f))]
     while chunk:
@@ -141,7 +141,7 @@ def _simulate(
         x[:, :, 1:] += w
         _scan(x, powers)
         yield x, u, w
-        chunk = list(islice(rngs, block))
+        chunk = draw(block)
 
 
 def collect_data(model: PlantModel, atk: AttackConfig, rng: np.random.Generator) -> DataMatrices:
@@ -151,7 +151,7 @@ def collect_data(model: PlantModel, atk: AttackConfig, rng: np.random.Generator)
     probing inputs u_t ~ N(0, sigma_u^2 I) from t = 0 on; the window
     [t_s, t_f] is then sliced out.
     """
-    (x,), (u,), (w,) = next(_simulate(model, atk, [rng]))
+    (x,), (u,), (w,) = next(_simulate(model, atk, lambda k: [rng]))  # one block
     s = atk.t_s
     return DataMatrices(
         Xf=x[:, s + 1 :].copy(), Xp=x[:, s:-1].copy(), Up=u[:, s:].copy(), Wp=w[:, s:].copy()
@@ -268,7 +268,9 @@ def monte_carlo_error(
     ``SeedSequence(seed).spawn(trials)`` gives, so its epsilon equals
     ``identify(model, atk, default_rng(child_i)).epsilon`` exactly.  It
     depends neither on the other trials nor on how many run, and results
-    are bit-identical across runs.
+    are bit-identical across runs.  The children are spawned a block at a
+    time; ``spawn`` counts the children it has made, so they come in the
+    same order, and memory does not grow with ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -276,9 +278,13 @@ def monte_carlo_error(
     s = atk.t_s
     eps = np.empty(trials)
     done = 0
-    children = np.random.SeedSequence(seed).spawn(trials)
-    blocks = _simulate(model, atk, (np.random.default_rng(ss) for ss in children))
-    for x, u, _ in blocks:
+    root = np.random.SeedSequence(seed)
+
+    def draw(k: int) -> list[np.random.Generator]:
+        k = min(k, trials - root.n_children_spawned)
+        return [np.random.default_rng(ss) for ss in root.spawn(k)]
+
+    for x, u, _ in _simulate(model, atk, draw):
         theta, ok = _solve(x[:, :, s:-1], u[:, :, s:], x[:, :, s + 1 :], rcond=1e-10)
         eps[done : done + len(ok)] = np.where(ok, _mean_square(theta - truth), np.nan)
         done += len(ok)

@@ -151,17 +151,25 @@ def sic_full(
     return (m + n) * sigma_w2 / denom
 
 
+def _per_sample(m: int, R_sigma: float, tr_Psi_u: float, tr_Psi_w: float) -> Fraction:
+    """R_sigma (tr(Psi_u) + m) + tr(Psi_w), exact in the float inputs."""
+    return Fraction(R_sigma) * (Fraction(tr_Psi_u) + m) + Fraction(tr_Psi_w)
+
+
 def sic_large_n(
     m: int, n: int, R_sigma: float, tr_Psi_u: float, tr_Psi_w: float, N: int
 ) -> float:
     """Large-sample form of the error lower bound.
 
     gamma(N) = (m+n) / ((N-1) [R_sigma (tr(Psi_u) + m) + tr(Psi_w)])
-    where R_sigma is the probing-to-noise variance ratio.
+    where R_sigma is the probing-to-noise variance ratio.  The result is
+    the exact value correctly rounded, from the per-sample rate that
+    ``design_security_parameter`` uses, so the first N with gamma(N) <
+    gamma_c is never below N*.
     """
     if N < 2:
         raise ValueError("N must be at least 2 (the large-sample form divides by N-1)")
-    return (m + n) / ((N - 1) * (R_sigma * (tr_Psi_u + m) + tr_Psi_w))
+    return float(Fraction(m + n) / ((N - 1) * _per_sample(m, R_sigma, tr_Psi_u, tr_Psi_w)))
 
 
 def sic_upperbound_input(m: int, n: int, R_sigma: float, N: int) -> float:
@@ -256,9 +264,9 @@ def design_security_parameter(
     < N* / 2: breaking N* samples then outlasts tau_c at any level, so
     lambda* is clamped to 1, the least level ``deciphering_time`` accepts.
     """
-    tr_u = Fraction(float(np.trace(np.asarray(Psi_u, dtype=float))))
-    tr_w = Fraction(float(np.trace(np.asarray(Psi_w, dtype=float))))
-    denom = Fraction(req.gamma_c) * (Fraction(R_sigma) * (tr_u + m) + tr_w)
+    tr_u = float(np.trace(np.asarray(Psi_u, dtype=float)))
+    tr_w = float(np.trace(np.asarray(Psi_w, dtype=float)))
+    denom = Fraction(req.gamma_c) * _per_sample(m, R_sigma, tr_u, tr_w)
     if denom <= 0:
         raise ValueError("R_sigma and the Gramian traces must make the denominator positive")
     N_star = math.floor(Fraction(m + n) / denom) + 2

@@ -128,11 +128,34 @@ def test_design_weak_requirement_needs_one_bit(tmp_path, capsys):
     assert doc["k_star"] == 2
 
 
-def test_design_requires_requirement_block(tmp_path, capsys):
-    path = write(tmp_path, SIM_CONFIG)
-    code = main(["design", "--config", str(path), "--out", str(tmp_path)])
-    assert code == 2
-    assert "requirement" in capsys.readouterr().err
+# every section each command reads, in the order main checks them
+NEEDED_SECTIONS = {
+    "design": ("requirement", "plant", "attack"),
+    "complexity-curve": ("plant", "attack"),
+    "attack-sim": ("plant", "attack"),
+    "loop-demo": ("plant", "codec", "loop"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, section", [(c, s) for c, sections in NEEDED_SECTIONS.items() for s in sections]
+)
+def test_missing_section_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, section):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(security_design, "_gramians", no_work)
+    monkeypatch.setattr(cli, "generate_group_params", no_work)
+    monkeypatch.setattr(cli.identification, "monte_carlo_error", no_work)
+    full = {**yaml.safe_load(LOOP_CONFIG), **yaml.safe_load(DESIGN_CONFIG)}
+    # the command's other sections; parse_config rejects a loop with no plant
+    doc = {
+        s: full[s] for s in NEEDED_SECTIONS[command]
+        if s != section and (s, section) != ("loop", "plant")
+    }
+    path = write(tmp_path, yaml.safe_dump(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {section}: section required for this command\n"
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -389,6 +412,23 @@ def test_key_bits_above_the_limit_is_config_error(tmp_path, capsys, monkeypatch)
     path = write(tmp_path, LOOP_CONFIG.replace("key_bits: 32", "key_bits: 439242"))
     assert main(["loop-demo", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "error: codec.key_bits: " in capsys.readouterr().err
+
+
+def test_delta_above_value_bound_is_config_error(tmp_path, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("safe-prime search started")
+
+    monkeypatch.setattr(cli, "generate_group_params", no_search)
+    # every value that quantizes to zero is encoded as delta, beyond the bound
+    bad = LOOP_CONFIG.replace("delta: 1.0e-2", "delta: 1.0").replace(
+        "value_bound: 10.0", "value_bound: 0.5"
+    )
+    path = write(tmp_path, bad)
+    assert main(["loop-demo", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "error: codec.delta: must not exceed codec.value_bound 0.5" in capsys.readouterr().err
+    # a delta equal to the bound is accepted
+    at_bound = yaml.safe_load(LOOP_CONFIG.replace("delta: 1.0e-2", "delta: 10.0"))
+    assert parse_config(at_bound).codec.delta == 10.0
 
 
 def test_gain_beyond_value_bound_is_config_error(tmp_path, capsys, monkeypatch):

@@ -345,3 +345,18 @@ def test_monte_carlo_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    # a trial's seed is spawned with its block, so beyond the blocks a
+    # grid point keeps only each trial's 8-byte error
+    model = PlantModel(np.array([[0.5]]), np.array([[1.0]]), 1.0, 1.0)
+    peaks = []
+    for trials in (1000, 3000):
+        tracemalloc.start()
+        try:
+            monte_carlo_error(model, AttackConfig(sigma_u2=1.0, N=200), trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 2000 < 32

@@ -373,6 +373,32 @@ def test_design_is_monotone(case, factor):
     assert N == N_star and lam >= lam_star
 
 
+@LAW
+@given(case=DESIGN_CASES, N=st.integers(2, 10**15))
+def test_sic_large_n_is_the_exact_gamma_rounded(case, N):
+    m, n, R_sigma, tr_u, tr_w, _ = case
+    gamma = exact_gamma(m, n, R_sigma, tr_u, tr_w)
+    assert sic_large_n(m, n, R_sigma, tr_u, tr_w, N) == float(gamma(N))
+
+
+@LAW
+@given(case=DESIGN_CASES, below=st.floats(0.0, 1.0))
+def test_sic_large_n_never_crosses_gamma_c_before_n_star(case, below):
+    # rounding is monotone and gamma_c is a float, so the float gamma stays
+    # at or above gamma_c below N*, and at N* reaches below it or rounds
+    # to gamma_c itself
+    m, n, R_sigma, tr_u, tr_w, req = case
+    N_star, _ = designed(*case)
+
+    def gamma(N):
+        return sic_large_n(m, n, R_sigma, tr_u, tr_w, N)
+
+    assert gamma(N_star) <= req.gamma_c
+    if N_star > 2:
+        assert gamma(N_star - 1) >= req.gamma_c
+        assert gamma(2 + math.floor(below * (N_star - 3))) >= req.gamma_c
+
+
 def test_design_reference_values():
     N_star, lam_star = design_security_parameter(
         4, 4, 100.0, 0.5 * np.eye(4), 2 * np.eye(4), SEC6_REQ
